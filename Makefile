@@ -17,11 +17,7 @@ lint:
 	go run ./cmd/bfpp-lint ./...
 
 race:
-	go test -race -count=1 \
-		-run 'Parallel|Cache|Concurrent|Sweep|FastPath|RunMatches|Curve|CheapArtifacts|Ctx|Cancel|Progress|HTTP|Search' \
-		./internal/parallel ./internal/search ./internal/schedule \
-		./internal/memsim ./internal/des ./internal/engine \
-		./internal/figures ./internal/tradeoff ./internal/service
+	go test -race -count=1 ./internal/...
 
 bench:
 	sh scripts/bench.sh

@@ -172,9 +172,9 @@ func BenchmarkGridSearchOneBatch(b *testing.B) {
 }
 
 // Parallel search engine benchmarks: the perf harness (scripts/bench.sh)
-// turns these into BENCH_search.json, tracking the speedup of the
-// worker-pool + memo-cache + DES-fast-path evaluator over the seed-faithful
-// baseline from this PR onward.
+// turns these into BENCH_search.json. The speedups over the original
+// serial, uncached evaluator, since deleted, are frozen in its history
+// block.
 
 // benchOptimize runs one 52B breadth-first search at batch 64.
 func benchOptimize(b *testing.B, opt search.Options) {
@@ -187,12 +187,6 @@ func benchOptimize(b *testing.B, opt search.Options) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkSearchOptimizeBaseline is the seed-faithful evaluator: serial,
-// no memo caches, reference DES loop.
-func BenchmarkSearchOptimizeBaseline(b *testing.B) {
-	benchOptimize(b, search.Options{Baseline: true})
 }
 
 // BenchmarkSearchOptimizeSerial is the optimized path pinned to 1 worker
@@ -230,12 +224,6 @@ func benchSweepCtx(b *testing.B, ctx context.Context, opt search.Options) {
 			}
 		}
 	}
-}
-
-// BenchmarkSweepFigure7Baseline measures the whole Figure-7 sweep with the
-// seed-faithful evaluator (the perf-harness speedup denominator).
-func BenchmarkSweepFigure7Baseline(b *testing.B) {
-	benchSweep(b, search.Options{Baseline: true})
 }
 
 // BenchmarkSweepFigure7Parallel measures the same sweep on the worker pool
@@ -470,23 +458,6 @@ func BenchmarkDESRunReference(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.RunReference(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimulateBatchBaseline is BenchmarkSimulateBatch without the memo
-// caches and DES fast path, for allocs/op comparison.
-func BenchmarkSimulateBatchBaseline(b *testing.B) {
-	c := hw.PaperCluster()
-	m := model.Model52B()
-	p := core.Plan{Method: core.BreadthFirst, DP: 4, PP: 8, TP: 2,
-		MicroBatch: 1, NumMicro: 12, Loops: 8, Sharding: core.DPFS,
-		OverlapDP: true, OverlapPP: true}
-	opt := engine.Options{DisableCache: true, ReferenceDES: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.SimulateOpts(c, m, p, opt); err != nil {
 			b.Fatal(err)
 		}
 	}

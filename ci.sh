@@ -1,9 +1,9 @@
 #!/bin/sh
-# ci.sh — build + vet + format check + tests (shuffled) + race pass over
-# the concurrent search/service and chaos/recovery paths + an HTTP smoke
+# ci.sh — build + vet + format check + tests (shuffled) + an HTTP smoke
 # test of bfpp-serve, clean and with a chaos script armed (a retrying
 # client must absorb the injected transient fault and still byte-match)
-# + a bfpp-calibrate smoke (deterministic fit, byte-stable fitted search).
+# + a bfpp-calibrate smoke (deterministic fit, byte-stable fitted search)
+# + a race pass over every internal package.
 # Set SKIP_RACE=1 on toolchains without cgo.
 set -eu
 cd "$(dirname "$0")"
@@ -172,15 +172,8 @@ fi
 echo "fit deterministic (measure->fit == refit == refit) and the fitted-profile search is byte-stable"
 
 if [ "${SKIP_RACE:-0}" != "1" ]; then
-	echo "== go test -race (concurrent search/service paths + cancellation + bound properties + chaos/recovery + durability/dispatch)"
-	go test -race -count=1 \
-		-run 'Parallel|Cache|Concurrent|Sweep|FastPath|RunMatches|Curve|CheapArtifacts|LowerBound|ExactBound|Lattice|PrunedErrors|PerFamily|Ctx|Cancel|Progress|HTTP|Search|Registry|Chaos|Fault|Supervisor|Recover|Shed|Partial|Retry|Seeded|Script|Sleep|Cascade|WarmStart|Checkpoint|Resume|Journal|Store|Corrupt|Dispatch|Replica|Sharder|Metrics|Stream|CostModel|Fit' \
-		./internal/parallel ./internal/search ./internal/schedule \
-		./internal/memsim ./internal/des ./internal/engine \
-		./internal/figures ./internal/tradeoff \
-		./internal/analytic ./internal/runtime ./internal/fault \
-		./internal/service ./internal/model ./internal/hw \
-		./internal/store ./internal/dispatch ./internal/cost
+	echo "== go test -race (every internal package)"
+	go test -race -count=1 ./internal/...
 fi
 
 echo "== ci OK"

@@ -121,6 +121,94 @@ func TestLowerBoundNeverExceedsSimulation(t *testing.T) {
 	}
 }
 
+// gridPoint expands a drawn plan into its grid point's candidate set the
+// way the search enumerates it: one candidate per registered sharding
+// (the sharded modes only when DP > 1) times, for methods with
+// SequenceOptions, one per sequence option. Invalid combinations drop out.
+func gridPoint(p core.Plan, traits schedule.Traits) []core.Plan {
+	shardings := traits.Shardings
+	if len(shardings) == 0 {
+		shardings = []core.Sharding{core.DP0}
+	}
+	var out []core.Plan
+	for _, sh := range shardings {
+		if sh != core.DP0 && p.DP == 1 {
+			continue
+		}
+		base := p
+		base.Sharding, base.Sequence = sh, 0
+		seqs := []int{0}
+		if traits.SequenceOptions != nil {
+			seqs = traits.SequenceOptions(base)
+		}
+		for _, q := range seqs {
+			cand := base
+			cand.Sequence = q
+			if cand.Validate(boundModel()) == nil {
+				out = append(out, cand)
+			}
+		}
+	}
+	return out
+}
+
+// TestLowerBoundCachedMatchesUncached pins the prefix-amortized replay
+// against the replay it shortcuts. For every registered generator, the
+// candidates of randomized grid points are priced in a seeded shuffled
+// order through one shared ReplayCache, as the search prices a sweep, and
+// each (lb, exact) must be bit-identical to LowerBound's uncached result.
+// The grid points must include GPipe's DP0/DP-PS pairs (one shared compute
+// prefix, resumed with each candidate's reduce tail) and the hybrid's
+// sequence options at Loops 1 (one shared full-sequence checkpoint) and
+// above (the uncached fallback).
+func TestLowerBoundCachedMatchesUncached(t *testing.T) {
+	c := hw.PaperCluster()
+	m := boundModel()
+	rng := rand.New(rand.NewSource(7))
+	gpipePairs, hybridShared, hybridLooped := 0, 0, 0
+	for _, g := range schedule.Generators() {
+		method, traits := g.Method(), g.Traits()
+		var cands []core.Plan
+		for trial, points := 0, 0; trial < 500 && points < 30; trial++ {
+			p, ok := randomBoundPlan(rng, method, traits)
+			if !ok {
+				continue
+			}
+			point := gridPoint(p, traits)
+			if len(point) == 0 {
+				continue
+			}
+			points++
+			cands = append(cands, point...)
+			switch {
+			case method == core.GPipe && len(point) == 2:
+				gpipePairs++
+			case method == core.Hybrid && len(point) > 1 && p.Loops == 1:
+				hybridShared++
+			case method == core.Hybrid && len(point) > 1:
+				hybridLooped++
+			}
+		}
+		rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+		rc := schedule.NewReplayCache()
+		for _, p := range cands {
+			lb, exact := LowerBoundCached(c, m, p, nil, rc)
+			wantLB, wantExact := LowerBound(c, m, p, nil)
+			if lb != wantLB || exact != wantExact {
+				t.Errorf("%v: cached (%v, %t) != uncached (%v, %t) for %v",
+					method, lb, exact, wantLB, wantExact, p)
+			}
+		}
+		t.Logf("%v: %d candidates priced through one cache", method, len(cands))
+	}
+	t.Logf("%d GPipe DP0/DP-PS pairs, %d hybrid Loops-1 and %d looped hybrid multi-option points",
+		gpipePairs, hybridShared, hybridLooped)
+	if gpipePairs == 0 || hybridShared == 0 || hybridLooped == 0 {
+		t.Errorf("grid points missed a checkpointed path: %d GPipe DP0/DP-PS pairs, %d hybrid Loops-1 and %d looped hybrid multi-option points",
+			gpipePairs, hybridShared, hybridLooped)
+	}
+}
+
 // TestExactBoundForNonOverlapped pins the exactness guarantee the search's
 // dominance pruning relies on: for non-overlapped breadth-first and
 // depth-first plans the bound must be reported exact and equal the DES

@@ -475,8 +475,9 @@ func (s *Sim) Run() (*Timeline, error) {
 // RunReference executes all tasks with the original rescanning loop: every
 // pass drains each stream as far as dependencies allow, and the spans are
 // sorted afterwards. It is kept as the executable specification of Run —
-// the equivalence tests assert bit-identical timelines — and as the
-// seed-faithful baseline of the perf harness (scripts/bench.sh).
+// the equivalence tests here and in internal/engine assert bit-identical
+// timelines — and as the denominator of the perf harness' des_run ratio
+// (scripts/bench.sh).
 func (s *Sim) RunReference() (*Timeline, error) {
 	n := len(s.tasks)
 	finish := make([]float64, n)

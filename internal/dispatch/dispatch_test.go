@@ -257,3 +257,34 @@ func TestDispatchHTTPReplicaDownFailsOver(t *testing.T) {
 		t.Errorf("failovers = %d, want 1", f)
 	}
 }
+
+// TestShardedServiceHonorsCostModel pins that replicas price groups under
+// the request's cost model: a Sharder-backed service must return the
+// in-process service's table byte for byte for a non-default model, which
+// on this scenario picks different Depth-first winners than the paper
+// model.
+func TestShardedServiceHonorsCostModel(t *testing.T) {
+	ctx := context.Background()
+	req := service.SearchRequest{Model: "6.6B", Cluster: "ethernet",
+		CostModel: "contended", Batches: []int{32, 64}}
+	want, err := service.New(service.Config{}).Search(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paper := req
+	paper.CostModel = "paper"
+	if p, err := service.New(service.Config{}).Search(ctx, paper); err != nil {
+		t.Fatal(err)
+	} else if p.Table == want.Table {
+		t.Fatal("the contended table equals the paper one: the scenario cannot tell the models apart")
+	}
+	sharded := service.New(service.Config{Sharder: New(Options{Retry: fastRetry()},
+		&Local{ID: "r0", Workers: 2})})
+	got, err := sharded.Search(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Table != want.Table {
+		t.Errorf("sharded table differs from the in-process one:\n--- in process ---\n%s--- sharded ---\n%s", want.Table, got.Table)
+	}
+}

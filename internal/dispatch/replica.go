@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"bfpp/internal/cli"
+	"bfpp/internal/engine"
 	"bfpp/internal/search"
 	"bfpp/internal/service"
 )
@@ -39,9 +40,10 @@ func (l *Local) Name() string {
 // Check implements Replica: an in-process executor is always live.
 func (l *Local) Check(context.Context) error { return nil }
 
-// Run implements Replica: one search.Optimize call for the group, with
-// infeasibility ("nothing fits", a deterministic property of the request)
-// separated from faults via the typed search.ErrInfeasible.
+// Run implements Replica: one search.Optimize call for the group under the
+// request's cost model, with infeasibility ("nothing fits", a
+// deterministic property of the request) separated from faults via the
+// typed search.ErrInfeasible.
 func (l *Local) Run(ctx context.Context, req service.SearchRequest, g search.GroupKey) (search.Best, bool, error) {
 	m, err := cli.ParseModel(req.Model)
 	if err != nil {
@@ -51,11 +53,18 @@ func (l *Local) Run(ctx context.Context, req service.SearchRequest, g search.Gro
 	if err != nil {
 		return search.Best{}, false, err
 	}
+	cm, err := cli.ParseCostModel(req.CostModel)
+	if err != nil {
+		return search.Best{}, false, err
+	}
 	f, ok := search.FamilyByKey(g.Family)
 	if !ok {
 		return search.Best{}, false, fmt.Errorf("unknown family %q", g.Family)
 	}
+	par := engine.Defaults()
+	par.Model = cm // nil selects the paper model
 	best, err := search.Optimize(ctx, c, m, f, g.Batch, search.Options{
+		Params:        &par,
 		MaxMicroBatch: req.MaxMicroBatch,
 		NoPrune:       req.NoPrune,
 		Workers:       l.Workers,

@@ -14,11 +14,11 @@
 // synchronization and allocator stalls.
 //
 // Simulate is safe for concurrent use: the grid search fans plans out
-// across a worker pool (internal/parallel), and by default schedule
-// generation and memory estimates are memoized across calls (plans that
-// differ only in TP, micro-batch size or DP width share device programs).
-// Options.DisableCache and Options.ReferenceDES select the seed-faithful
-// slow path used by the equivalence tests and the perf harness.
+// across a worker pool (internal/parallel), and schedule generation and
+// memory estimates are memoized across calls (plans that differ only in
+// TP, micro-batch size or DP width share device programs). The tests
+// compare this path with a freshly generated schedule run through the
+// simulator's reference loop (des.Sim.RunReference).
 package engine
 
 import (
@@ -81,15 +81,6 @@ type Options struct {
 	CaptureTimeline bool
 	// Params overrides the calibration constants when non-zero.
 	Params *Params
-	// DisableCache bypasses the schedule and memory memo caches, generating
-	// and invariant-checking the schedule from scratch on every call (the
-	// seed-faithful behavior). Used by equivalence tests and as the perf
-	// harness baseline.
-	DisableCache bool
-	// ReferenceDES runs the simulator's reference rescanning loop
-	// (des.Sim.RunReference) instead of the indexed fast path. Timelines
-	// are bit-identical either way.
-	ReferenceDES bool
 }
 
 // Simulate runs one batch with default options.
@@ -102,7 +93,7 @@ func Simulate(c hw.Cluster, m model.Transformer, p core.Plan) (Result, error) {
 // generation and invariant checking — and returns the checked schedule.
 // It is the single producer of SimulateOpts' pre-simulation errors, so
 // Precheck reports exactly what a simulation would.
-func prepare(c hw.Cluster, m model.Transformer, p core.Plan, opt Options) (*schedule.Schedule, error) {
+func prepare(c hw.Cluster, m model.Transformer, p core.Plan) (*schedule.Schedule, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -111,16 +102,6 @@ func prepare(c hw.Cluster, m model.Transformer, p core.Plan, opt Options) (*sche
 	}
 	if p.GPUs() > c.NumGPUs() {
 		return nil, fmt.Errorf("engine: plan needs %d GPUs, cluster has %d", p.GPUs(), c.NumGPUs())
-	}
-	if opt.DisableCache {
-		sched, err := schedule.Generate(p)
-		if err != nil {
-			return nil, err
-		}
-		if err := schedule.Check(sched); err != nil {
-			return nil, fmt.Errorf("engine: generated schedule invalid: %w", err)
-		}
-		return sched, nil
 	}
 	sched, err := schedule.Cached(p)
 	if err != nil {
@@ -134,15 +115,17 @@ func prepare(c hw.Cluster, m model.Transformer, p core.Plan, opt Options) (*sche
 // generator's checked schedule cannot deadlock the DES). The grid search
 // uses it to surface per-candidate errors deterministically even for
 // candidates the branch-and-bound never simulates; schedule generation is
-// memoized, so a subsequent simulation pays nothing extra.
-func Precheck(c hw.Cluster, m model.Transformer, p core.Plan, opt Options) error {
-	_, err := prepare(c, m, p, opt)
+// memoized, so a subsequent simulation pays nothing extra. It takes the
+// simulation's Options so callers can pass one value to both; no option
+// changes the prechecks.
+func Precheck(c hw.Cluster, m model.Transformer, p core.Plan, _ Options) error {
+	_, err := prepare(c, m, p)
 	return err
 }
 
 // SimulateOpts runs one batch of the configuration and returns the result.
 func SimulateOpts(c hw.Cluster, m model.Transformer, p core.Plan, opt Options) (Result, error) {
-	sched, err := prepare(c, m, p, opt)
+	sched, err := prepare(c, m, p)
 	if err != nil {
 		return Result{}, err
 	}
@@ -151,23 +134,19 @@ func SimulateOpts(c hw.Cluster, m model.Transformer, p core.Plan, opt Options) (
 		par = *opt.Params
 	}
 
-	b := builder{c: c, m: m, p: p, par: par, sched: sched, reference: opt.ReferenceDES}
+	b := builder{c: c, m: m, p: p, par: par, sched: sched}
 	tl, err := b.run()
 	if err != nil {
 		b.release()
 		return Result{}, err
 	}
 
-	mem := memsim.CachedEstimate
-	if opt.DisableCache {
-		mem = memsim.Estimate
-	}
 	res := Result{
 		Plan:       p,
 		BatchTime:  tl.Makespan,
 		FlopPerGPU: m.BatchFlopPerGPU(p.MicroBatch, p.NumMicro, p.PP, p.TP),
 		Bubble:     p.Bubble(),
-		Memory:     mem(m, p),
+		Memory:     memsim.CachedEstimate(m, p),
 	}
 	res.Throughput = res.FlopPerGPU / res.BatchTime
 	res.Utilization = res.Throughput / c.GPU.PeakFlops
@@ -202,12 +181,11 @@ func SimulateOpts(c hw.Cluster, m model.Transformer, p core.Plan, opt Options) (
 
 // builder assembles the DES model.
 type builder struct {
-	c         hw.Cluster
-	m         model.Transformer
-	p         core.Plan
-	par       Params
-	sched     *schedule.Schedule
-	reference bool
+	c     hw.Cluster
+	m     model.Transformer
+	p     core.Plan
+	par   Params
+	sched *schedule.Schedule
 
 	sim           *des.Sim
 	scratch       *buildScratch
@@ -301,15 +279,25 @@ func streamName(kind, dev int) string {
 	return fmt.Sprintf("gpu%d/%s", dev, streamKinds[kind])
 }
 
+// run builds the task graph on a pooled simulator and executes it with
+// the indexed DES loop.
 func (b *builder) run() (*des.Timeline, error) {
-	p := b.p
-	b.deriveCosts()
 	b.sim = simPool.Get().(*des.Sim)
-	b.sim.Reset()
 	defer func() {
 		simPool.Put(b.sim)
 		b.sim = nil
 	}()
+	b.build()
+	return b.sim.Run()
+}
+
+// build resets b.sim and assembles the schedule's task graph into it: one
+// task per schedule op on the device streams plus the cross-device
+// transfers, every dependency wired. The graph is left unexecuted.
+func (b *builder) build() {
+	p := b.p
+	b.deriveCosts()
+	b.sim.Reset()
 
 	nDev := len(b.sched.Devices)
 	sc := scratchPool.Get().(*buildScratch)
@@ -499,10 +487,6 @@ func (b *builder) run() (*des.Timeline, error) {
 			b.sim.AddDep(t, send)
 		}
 	}
-	if b.reference {
-		return b.sim.RunReference()
-	}
-	return b.sim.Run()
 }
 
 // transferOutOf returns the (stage, micro) key index of the op consuming

@@ -1,11 +1,14 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"bfpp/internal/core"
+	"bfpp/internal/des"
 	"bfpp/internal/hw"
 	"bfpp/internal/model"
+	"bfpp/internal/schedule"
 )
 
 // fastpathPlans covers every schedule family, both overlap settings and
@@ -28,51 +31,70 @@ func fastpathPlans() []core.Plan {
 	}
 }
 
-// TestFastPathMatchesBaseline asserts the cached/indexed simulation path
-// returns results identical to the seed-faithful one (no caches, reference
-// DES loop) — every float, not just the headline throughput.
-func TestFastPathMatchesBaseline(t *testing.T) {
-	c := hw.PaperCluster()
-	m := model.Model52B()
-	for _, p := range fastpathPlans() {
-		fast, err := SimulateOpts(c, m, p, Options{})
-		if err != nil {
-			t.Fatalf("%v: %v", p, err)
-		}
-		base, err := SimulateOpts(c, m, p, Options{DisableCache: true, ReferenceDES: true})
-		if err != nil {
-			t.Fatalf("%v baseline: %v", p, err)
-		}
-		if fast != base {
-			t.Errorf("%v: fast path diverges from baseline\nfast: %+v\nbase: %+v", p, fast, base)
+// referenceTimeline builds p's task graph from a freshly generated and
+// checked schedule (no memo cache) and executes it with the simulator's
+// reference rescanning loop, des.Sim.RunReference.
+func referenceTimeline(t *testing.T, c hw.Cluster, m model.Transformer, p core.Plan) *des.Timeline {
+	t.Helper()
+	sched, err := schedule.Generate(p)
+	if err != nil {
+		t.Fatalf("%v: %v", p, err)
+	}
+	if err := schedule.Check(sched); err != nil {
+		t.Fatalf("%v: generated schedule invalid: %v", p, err)
+	}
+	b := builder{c: c, m: m, p: p, par: Defaults(), sched: sched, sim: des.New()}
+	b.build()
+	defer b.release()
+	tl, err := b.sim.RunReference()
+	if err != nil {
+		t.Fatalf("%v reference: %v", p, err)
+	}
+	return tl
+}
+
+// matchReference simulates p on the default path (memo caches, indexed DES)
+// and compares its timeline with the reference one by makespan, stream
+// names and span by span.
+func matchReference(t *testing.T, c hw.Cluster, m model.Transformer, p core.Plan) {
+	t.Helper()
+	fast, err := SimulateOpts(c, m, p, Options{CaptureTimeline: true})
+	if err != nil {
+		t.Fatalf("%v: %v", p, err)
+	}
+	ref := referenceTimeline(t, c, m, p)
+	got := fast.Timeline
+	if got.Makespan != ref.Makespan || fast.BatchTime != ref.Makespan {
+		t.Fatalf("%v: makespan %v (batch time %v) != reference %v", p, got.Makespan, fast.BatchTime, ref.Makespan)
+	}
+	if !slices.Equal(got.StreamNames, ref.StreamNames) {
+		t.Fatalf("%v: streams %v != reference %v", p, got.StreamNames, ref.StreamNames)
+	}
+	if len(got.Spans) != len(ref.Spans) {
+		t.Fatalf("%v: span count %d != reference %d", p, len(got.Spans), len(ref.Spans))
+	}
+	for i := range got.Spans {
+		if got.Spans[i] != ref.Spans[i] {
+			t.Fatalf("%v: span %d differs: %+v != reference %+v", p, i, got.Spans[i], ref.Spans[i])
 		}
 	}
 }
 
-// TestFastPathTimelineMatchesBaseline compares the captured DES timelines
-// span by span.
-func TestFastPathTimelineMatchesBaseline(t *testing.T) {
+// TestFastPathMatchesBaseline asserts the default simulation path (memo
+// caches, indexed DES) reproduces the reference execution of every
+// fastpathPlans graph exactly.
+func TestFastPathMatchesBaseline(t *testing.T) {
 	c := hw.PaperCluster()
-	m := model.Model6p6B()
-	p := core.Plan{Method: core.BreadthFirst, DP: 8, PP: 4, TP: 2, MicroBatch: 1,
-		NumMicro: 16, Loops: 4, Sharding: core.DPFS, OverlapDP: true, OverlapPP: true}
-	fast, err := SimulateOpts(c, m, p, Options{CaptureTimeline: true})
-	if err != nil {
-		t.Fatal(err)
+	m := model.Model52B()
+	for _, p := range fastpathPlans() {
+		matchReference(t, c, m, p)
 	}
-	base, err := SimulateOpts(c, m, p, Options{CaptureTimeline: true, DisableCache: true, ReferenceDES: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.Timeline.Makespan != base.Timeline.Makespan {
-		t.Fatalf("makespan %v != %v", fast.Timeline.Makespan, base.Timeline.Makespan)
-	}
-	if len(fast.Timeline.Spans) != len(base.Timeline.Spans) {
-		t.Fatalf("span count %d != %d", len(fast.Timeline.Spans), len(base.Timeline.Spans))
-	}
-	for i := range fast.Timeline.Spans {
-		if fast.Timeline.Spans[i] != base.Timeline.Spans[i] {
-			t.Fatalf("span %d differs: %+v != %+v", i, fast.Timeline.Spans[i], base.Timeline.Spans[i])
-		}
-	}
+}
+
+// TestFastPathTimelineMatchesBaseline compares a 6.6B DP-FS breadth-first
+// timeline with the reference execution span by span.
+func TestFastPathTimelineMatchesBaseline(t *testing.T) {
+	matchReference(t, hw.PaperCluster(), model.Model6p6B(), core.Plan{
+		Method: core.BreadthFirst, DP: 8, PP: 4, TP: 2, MicroBatch: 1,
+		NumMicro: 16, Loops: 4, Sharding: core.DPFS, OverlapDP: true, OverlapPP: true})
 }

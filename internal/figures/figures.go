@@ -48,8 +48,8 @@ type Config struct {
 	// (AppendixELarge and ExtensionSchedules default to every registered
 	// family instead — the point of those artifacts).
 	Families []search.Family
-	// Workers bounds the sweeps' worker pools; 0 resolves to
-	// parallel.DefaultWorkers(). Results are identical at any width.
+	// Workers bounds the sweeps' worker pools; 0 resolves to GOMAXPROCS.
+	// Results are identical at any width.
 	Workers int
 	// CostModel selects the cost model for the sweep-backed artifacts; nil
 	// means the paper model. The direct-simulate artifacts (the schedule

@@ -7,17 +7,16 @@ import (
 )
 
 // AnalyzerGlobalstate flags package-level mutable state in library
-// packages — the parallel.SetDefaultWorkers hazard class: a process-global
-// that concurrent server requests race on, or that makes output depend on
-// call history. A package-level var is reported when any function writes
-// it (direct assignment, element/field assignment, ++/--, or a mutating
-// method call: Add, Store, Swap, Delete, ...) outside the sanctioned
-// sites: init functions, and Register*/register* functions (open
-// registries are published at init time by contract). sync.Pool and
-// sync.Once globals are exempt — pools are order-free scratch reuse and
-// Once.Do is its own discipline. Deliberate process-globals (memo caches
-// with deterministic content, deprecated compat shims) carry a
-// //lint:allow globalstate pragma at the write site.
+// packages: a process-global that concurrent server requests race on, or
+// that makes output depend on call history. A package-level var is
+// reported when any function writes it (direct assignment,
+// element/field assignment, ++/--, or a mutating method call: Add,
+// Store, Swap, Delete, ...) outside the sanctioned sites: init functions,
+// and Register*/register* functions (open registries are published at
+// init time by contract). sync.Pool and sync.Once globals are exempt —
+// pools are order-free scratch reuse and Once.Do is its own discipline.
+// Deliberate process-globals (memo caches with deterministic content)
+// carry a //lint:allow globalstate pragma at the write site.
 var AnalyzerGlobalstate = &Analyzer{
 	Name: "globalstate",
 	Doc: "forbid new package-level mutable state in library packages: " +

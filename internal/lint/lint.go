@@ -20,7 +20,7 @@
 //     packages' functions; context.Background() stays in cmd/, scripts/
 //     and tests.
 //   - globalstate: no new package-level mutable state in library packages
-//     (the SetDefaultWorkers hazard class).
+//     (a process-global that concurrent requests would race on).
 //
 // Deliberate exceptions are encoded in source as
 //

@@ -10,18 +10,17 @@ import (
 )
 
 // TestMapCtxBackgroundMatchesMap pins that a background context changes
-// nothing: same results, same lowest-index error rule.
+// nothing: the pool returns exactly what a plain serial map computes.
 func TestMapCtxBackgroundMatchesMap(t *testing.T) {
 	items := []int{1, 2, 3, 4, 5, 6, 7, 8}
 	fn := func(i int, v int) (int, error) { return v * v, nil }
-	want, _ := Map(4, items, fn)
 	got, err := MapCtx(context.Background(), 4, items, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("index %d: %d != %d", i, got[i], want[i])
+	for i, v := range items {
+		if want, _ := fn(i, v); got[i] != want {
+			t.Fatalf("index %d: %d != %d", i, got[i], want)
 		}
 	}
 }
@@ -110,13 +109,22 @@ func TestMapCtxDrainsGoroutines(t *testing.T) {
 	}
 }
 
-// TestForEachCtxCancelled asserts the ForEach wrapper propagates
-// cancellation.
-func TestForEachCtxCancelled(t *testing.T) {
+// TestMapCtxAlreadyCancelled asserts a context cancelled before the call
+// starts no item at any worker count and reports the cancellation.
+func TestMapCtxAlreadyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := ForEachCtx(ctx, 2, []int{1, 2, 3}, func(int, int) error { return nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	for _, workers := range []int{1, 2} {
+		var started atomic.Int64
+		_, err := MapCtx(ctx, workers, []int{1, 2, 3}, func(int, int) (struct{}, error) {
+			started.Add(1)
+			return struct{}{}, nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if n := started.Load(); n != 0 {
+			t.Errorf("workers=%d: %d items started under a cancelled context", workers, n)
+		}
 	}
 }

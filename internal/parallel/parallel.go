@@ -1,30 +1,24 @@
-// Package parallel provides the bounded worker-pool primitives used by the
-// grid search, the figure generators and the trade-off extrapolation to fan
-// independent simulations out across CPU cores.
+// Package parallel provides the bounded worker pool used by the grid
+// search and the trade-off extrapolation to fan independent simulations
+// out across CPU cores.
 //
-// The package guarantees determinism: Map returns results in input order
-// regardless of scheduling, and when several items fail it reports the error
-// of the lowest-indexed item — exactly the error a serial loop would have
-// hit first. Callers therefore produce byte-identical output whether they
-// run with 1 worker or many.
+// The package guarantees determinism: MapCtx returns results in input
+// order regardless of scheduling, and when several items fail it reports
+// the error of the lowest-indexed item — exactly the error a serial loop
+// would have hit first. Callers therefore produce byte-identical output
+// whether they run with 1 worker or many.
 //
-// The context-aware variants (MapCtx, ForEachCtx) additionally observe
-// cancellation: workers check the context between items, so an in-flight
-// item finishes but no new item starts once the context is done, the pool
-// drains promptly and the call returns ctx.Err(). Cancellation takes
-// precedence over item errors (which are timing-dependent once the pool
-// stops draining the work list); on the uncancelled path the lowest-index
-// rule applies unchanged, so results remain deterministic.
+// MapCtx also observes cancellation: workers check the context between
+// items, so an in-flight item finishes but no new item starts once the
+// context is done, the pool drains promptly and the call returns
+// ctx.Err(). Cancellation takes precedence over item errors (which are
+// timing-dependent once the pool stops draining the work list); on the
+// uncancelled path the lowest-index rule applies unchanged, so results
+// remain deterministic.
 //
-// # Worker counts
-//
-// Callers pass an explicit worker count; 0 resolves to
-// runtime.GOMAXPROCS(0). The process-wide SetDefaultWorkers override is
-// deprecated: it is a compatibility shim for single-job command-line use
-// only, and concurrent callers (e.g. several server requests) would race
-// on it, each clobbering the others' budgets. New code should thread an
-// explicit worker count through its options (search.Options.Workers, the
-// service request Workers field) instead.
+// Callers pass an explicit worker count (search.Options.Workers, the
+// service requests' Workers field); Resolve maps 0 to
+// runtime.GOMAXPROCS(0).
 package parallel
 
 import (
@@ -36,63 +30,25 @@ import (
 	"bfpp/internal/fault"
 )
 
-// defaultWorkers holds the process-wide override; zero means "use
-// GOMAXPROCS at call time".
-var defaultWorkers atomic.Int64
-
-// DefaultWorkers returns the worker count used when a caller passes 0:
-// the SetDefaultWorkers override if set, else runtime.GOMAXPROCS(0).
-func DefaultWorkers() int {
-	if n := defaultWorkers.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// SetDefaultWorkers overrides the process-wide default worker count.
-// n <= 0 restores the GOMAXPROCS default.
-//
-// Deprecated: this is a process-global and therefore a hazard for any
-// program running more than one job at a time — concurrent requests would
-// race on the single override, silently steering each other's pools. It
-// remains only as a compatibility shim for the single-job CLI flags;
-// plumb an explicit Workers value through the call path instead
-// (search.Options.Workers, figures.Config.Workers, tradeoff.Curve's
-// workers argument, the service requests' Workers field).
-func SetDefaultWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	//lint:allow globalstate deprecated compat shim documented above; new code threads explicit Workers values
-	defaultWorkers.Store(int64(n))
-}
-
 // Resolve maps a caller-supplied worker count to an effective one:
-// n > 0 is used as-is, anything else resolves to DefaultWorkers().
+// n > 0 is used as-is, anything else resolves to runtime.GOMAXPROCS(0).
 func Resolve(n int) int {
 	if n > 0 {
 		return n
 	}
-	return DefaultWorkers()
+	return runtime.GOMAXPROCS(0)
 }
 
-// Map applies fn to every item on a bounded worker pool and returns the
-// results in input order. workers <= 0 resolves to DefaultWorkers(); with
-// one worker (or one item) it degenerates to a plain serial loop.
+// MapCtx applies fn to every item on a bounded worker pool and returns the
+// results in input order. workers <= 0 resolves through Resolve; with one
+// worker (or one item) it degenerates to a plain serial loop.
 //
-// All items are evaluated even when some fail, and the returned error is
-// the one attached to the lowest index, so error reporting is independent
-// of goroutine scheduling.
-func Map[T, R any](workers int, items []T, fn func(i int, item T) (R, error)) ([]R, error) {
-	//lint:allow ctxfirst Map is the documented context-free compat wrapper; cancellable callers use MapCtx
-	return MapCtx(context.Background(), workers, items, fn)
-}
-
-// MapCtx is Map under a context: workers observe ctx between items (an
-// in-flight fn call completes; no new item starts once ctx is done), the
-// pool drains promptly, and the call reports ctx.Err(). Cancellation takes
-// precedence over item errors; without cancellation the result and the
-// lowest-index error rule are exactly Map's.
+// Without cancellation every item is evaluated even when some fail, and
+// the returned error is the one attached to the lowest index, so error
+// reporting is independent of goroutine scheduling. Workers observe ctx
+// between items (an in-flight fn call completes; no new item starts once
+// ctx is done), the pool drains promptly, and the call reports ctx.Err(),
+// which takes precedence over item errors.
 func MapCtx[T, R any](ctx context.Context, workers int, items []T, fn func(i int, item T) (R, error)) ([]R, error) {
 	n := len(items)
 	if n == 0 {
@@ -188,18 +144,4 @@ func injectItemStall(ctx context.Context, inj fault.Injector, i int) error {
 		return fault.SleepCtx(ctx, f.Sleep)
 	}
 	return nil
-}
-
-// ForEach is Map for side-effecting functions with no result value.
-func ForEach[T any](workers int, items []T, fn func(i int, item T) error) error {
-	//lint:allow ctxfirst ForEach is the documented context-free compat wrapper; cancellable callers use ForEachCtx
-	return ForEachCtx(context.Background(), workers, items, fn)
-}
-
-// ForEachCtx is MapCtx for side-effecting functions with no result value.
-func ForEachCtx[T any](ctx context.Context, workers int, items []T, fn func(i int, item T) error) error {
-	_, err := MapCtx(ctx, workers, items, func(i int, item T) (struct{}, error) {
-		return struct{}{}, fn(i, item)
-	})
-	return err
 }

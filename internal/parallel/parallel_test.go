@@ -21,7 +21,7 @@ func TestMapCtxFaultStallsPreserveDeterminism(t *testing.T) {
 		items[i] = i
 	}
 	fn := func(i int, item int) (int, error) { return item * item, nil }
-	want, err := Map(1, items, fn)
+	want, err := MapCtx(context.Background(), 1, items, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestMapPreservesOrder(t *testing.T) {
 		items[i] = i
 	}
 	for _, workers := range []int{1, 2, 7, 64} {
-		out, err := Map(workers, items, func(_ int, v int) (int, error) {
+		out, err := MapCtx(context.Background(), workers, items, func(_ int, v int) (int, error) {
 			return v * 3, nil
 		})
 		if err != nil {
@@ -81,9 +81,9 @@ func TestMapPreservesOrder(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	out, err := Map(4, nil, func(_ int, v int) (int, error) { return v, nil })
+	out, err := MapCtx(context.Background(), 4, nil, func(_ int, v int) (int, error) { return v, nil })
 	if err != nil || out != nil {
-		t.Fatalf("empty Map = (%v, %v), want (nil, nil)", out, err)
+		t.Fatalf("empty MapCtx = (%v, %v), want (nil, nil)", out, err)
 	}
 }
 
@@ -94,7 +94,7 @@ func TestMapReturnsLowestIndexError(t *testing.T) {
 	}
 	fail := map[int]bool{7: true, 3: true, 90: true}
 	for _, workers := range []int{1, 8} {
-		_, err := Map(workers, items, func(i int, _ int) (int, error) {
+		_, err := MapCtx(context.Background(), workers, items, func(i int, _ int) (int, error) {
 			if fail[i] {
 				return 0, fmt.Errorf("item %d failed", i)
 			}
@@ -111,7 +111,7 @@ func TestMapEvaluatesConcurrently(t *testing.T) {
 	// must still be evaluated exactly once.
 	var count atomic.Int64
 	items := make([]struct{}, 500)
-	_, err := Map(16, items, func(_ int, _ struct{}) (struct{}, error) {
+	_, err := MapCtx(context.Background(), 16, items, func(_ int, _ struct{}) (struct{}, error) {
 		count.Add(1)
 		return struct{}{}, nil
 	})
@@ -123,46 +123,13 @@ func TestMapEvaluatesConcurrently(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	items := []int{1, 2, 3, 4, 5}
-	if err := ForEach(3, items, func(_ int, v int) error {
-		sum.Add(int64(v))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 15 {
-		t.Fatalf("sum = %d, want 15", sum.Load())
-	}
-	wantErr := errors.New("boom")
-	if err := ForEach(3, items, func(i int, _ int) error {
-		if i == 2 {
-			return wantErr
-		}
-		return nil
-	}); !errors.Is(err, wantErr) {
-		t.Fatalf("ForEach error = %v, want %v", err, wantErr)
-	}
-}
-
 func TestResolveAndDefault(t *testing.T) {
-	defer SetDefaultWorkers(0)
 	if got := Resolve(5); got != 5 {
 		t.Errorf("Resolve(5) = %d", got)
 	}
-	if got := Resolve(0); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("Resolve(0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
-	}
-	SetDefaultWorkers(3)
-	if got := Resolve(0); got != 3 {
-		t.Errorf("Resolve(0) with default 3 = %d", got)
-	}
-	if got := Resolve(-1); got != 3 {
-		t.Errorf("Resolve(-1) with default 3 = %d", got)
-	}
-	SetDefaultWorkers(0)
-	if got := DefaultWorkers(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("DefaultWorkers after reset = %d", got)
+	for _, n := range []int{0, -1} {
+		if got := Resolve(n); got != runtime.GOMAXPROCS(0) {
+			t.Errorf("Resolve(%d) = %d, want GOMAXPROCS %d", n, got, runtime.GOMAXPROCS(0))
+		}
 	}
 }

@@ -11,10 +11,8 @@ import (
 // TestCascadeTableMatchesExact is the tiered-cascade acceptance criterion:
 // the default cascade (tier-1 floor pricing, lazy tier-2 exact replay,
 // warm-started incumbents, deferred leader simulation) must produce
-// byte-identical search.Table output to both the replay-always path
-// (EagerReplay: every candidate priced exactly up front, the PR-4
-// behavior) and the unpruned sweep, across every registered family and at
-// several worker counts.
+// byte-identical search.Table output to the unpruned sweep, across every
+// registered family and at several worker counts.
 func TestCascadeTableMatchesExact(t *testing.T) {
 	c := hw.PaperCluster()
 	m := model.Model6p6B()
@@ -28,22 +26,13 @@ func TestCascadeTableMatchesExact(t *testing.T) {
 	want := Table("cascade", ref)
 
 	for _, workers := range []int{1, 2, 4, 8} {
-		for _, opt := range []Options{
-			{Workers: workers},
-			{Workers: workers, EagerReplay: true},
-		} {
-			label := "cascade"
-			if opt.EagerReplay {
-				label = "eager-replay"
-			}
-			got, err := SweepAll(context.Background(), c, m, fams, batches, opt)
-			if err != nil {
-				t.Fatalf("workers=%d %s: %v", workers, label, err)
-			}
-			if s := Table("cascade", got); s != want {
-				t.Errorf("workers=%d: %s Table differs from unpruned:\n--- unpruned ---\n%s--- %s ---\n%s",
-					workers, label, want, label, s)
-			}
+		got, err := SweepAll(context.Background(), c, m, fams, batches, Options{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if s := Table("cascade", got); s != want {
+			t.Errorf("workers=%d: cascade Table differs from unpruned:\n--- unpruned ---\n%s--- cascade ---\n%s",
+				workers, want, s)
 		}
 	}
 }

@@ -12,16 +12,16 @@ import (
 )
 
 // TestOptimizeParallelMatchesBaseline runs the same (family, batch) search
-// through the seed-faithful serial evaluator and through the worker pool at
-// several widths, asserting identical winners, throughputs and candidate
+// through the unpruned serial reference and through the pruned worker pool
+// at several widths, asserting identical winners, throughputs and candidate
 // counts.
 func TestOptimizeParallelMatchesBaseline(t *testing.T) {
 	c := hw.PaperCluster()
 	m := model.Model6p6B()
 	for _, f := range Families() {
-		want, err := Optimize(context.Background(), c, m, f, 64, Options{Baseline: true})
+		want, err := Optimize(context.Background(), c, m, f, 64, Options{NoPrune: true, Workers: 1})
 		if err != nil {
-			t.Fatalf("%v baseline: %v", f, err)
+			t.Fatalf("%v reference: %v", f, err)
 		}
 		for _, workers := range []int{1, 2, 4, 8} {
 			got, err := Optimize(context.Background(), c, m, f, 64, Options{Workers: workers})
@@ -42,31 +42,32 @@ func TestOptimizeParallelMatchesBaseline(t *testing.T) {
 	}
 }
 
-// TestSweepParallelMatchesBaseline compares the formatted Table E output —
-// the acceptance criterion is byte-for-byte identity, including infeasible
+// TestSweepParallelMatchesBaseline compares the formatted Table E output of
+// the unpruned serial reference and the pruned worker pool — the
+// acceptance criterion is byte-for-byte identity, including infeasible
 // batch skipping.
 func TestSweepParallelMatchesBaseline(t *testing.T) {
 	c := hw.PaperCluster()
 	m := model.Model6p6B()
 	batches := []int{1, 32, 64, 96} // batch 1 is infeasible and must be skipped
-	baseline := map[Family][]Best{}
+	reference := map[Family][]Best{}
 	parallelRes := map[Family][]Best{}
 	for _, f := range Families() {
-		b, err := Sweep(context.Background(), c, m, f, batches, Options{Baseline: true})
+		b, err := Sweep(context.Background(), c, m, f, batches, Options{NoPrune: true, Workers: 1})
 		if err != nil {
-			t.Fatalf("%v baseline: %v", f, err)
+			t.Fatalf("%v reference: %v", f, err)
 		}
-		baseline[f] = b
+		reference[f] = b
 		p, err := Sweep(context.Background(), c, m, f, batches, Options{Workers: 4})
 		if err != nil {
 			t.Fatalf("%v parallel: %v", f, err)
 		}
 		parallelRes[f] = p
 	}
-	want := Table("equivalence", baseline)
+	want := Table("equivalence", reference)
 	got := Table("equivalence", parallelRes)
 	if got != want {
-		t.Errorf("parallel Table output differs from serial baseline:\n--- baseline ---\n%s--- parallel ---\n%s", want, got)
+		t.Errorf("parallel Table output differs from the serial reference:\n--- reference ---\n%s--- parallel ---\n%s", want, got)
 	}
 }
 
@@ -96,7 +97,7 @@ func TestPickBestTieStable(t *testing.T) {
 func TestOptimizeConcurrentCallers(t *testing.T) {
 	c := hw.PaperCluster()
 	m := model.Model6p6B()
-	want, err := Optimize(context.Background(), c, m, FamilyBreadthFirst, 64, Options{Baseline: true})
+	want, err := Optimize(context.Background(), c, m, FamilyBreadthFirst, 64, Options{NoPrune: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

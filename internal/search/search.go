@@ -12,7 +12,7 @@
 // (internal/parallel); Sweep and SweepAll flatten all batches' (and
 // families') candidates into one work list over the same pool, so
 // Options.Workers is a true bound on concurrent simulations (0 means
-// parallel.DefaultWorkers(), 1 forces the serial path).
+// GOMAXPROCS, 1 forces the serial path).
 //
 // Every entry point takes a context: workers observe cancellation between
 // candidate simulations (an in-flight simulation completes, no new one
@@ -37,10 +37,7 @@
 // prefix-amortized across candidates sharing a checkpoint) — only when
 // its floor fails to prune against the incumbent. Exact tier-2 prices
 // feed the incumbent immediately (the replay IS the simulated time), so
-// siblings prune before the simulation even runs. Options.EagerReplay
-// restores the replay-always pricing (every candidate priced exactly up
-// front, dominance pre-pass instead of warm starts) as an equivalence
-// and benchmarking point.
+// siblings prune before the simulation even runs.
 //
 // Pruning never changes results: a candidate is skipped only when the
 // admissible bound proves it cannot be the winner under the same strict
@@ -51,10 +48,8 @@
 // prechecked (engine.Precheck, the exact pre-simulation validations)
 // before pruning may skip it, so Optimize and Sweep surface the same
 // lowest-index per-candidate error with and without pruning.
-// Options.NoPrune disables the bounds (the perf harness' comparison
-// point) and Options.Baseline additionally bypasses the schedule/memory
-// memo caches and the DES fast path, reproducing the seed evaluator for
-// equivalence tests.
+// Options.NoPrune disables the bounds and simulates every candidate: the
+// reference the equivalence tests and the perf harness compare against.
 package search
 
 import (
@@ -263,8 +258,8 @@ type Best struct {
 type FamilyStats struct {
 	// Enumerated counts candidate plans entering the work list.
 	Enumerated atomic.Int64
-	// Dominated counts candidates removed by the deterministic dominance
-	// pre-pass (an exactly-priced sibling provably beats them).
+	// Dominated counts candidates removed by the deterministic warm-start
+	// pass (an exactly-priced seed sibling provably beats them).
 	Dominated atomic.Int64
 	// BoundSkipped counts candidates skipped at execution time because
 	// their analytic throughput upper bound could not beat the incumbent.
@@ -361,8 +356,8 @@ type FamilyProgress struct {
 }
 
 // ProgressSnapshot is a point-in-time view of a search's pruning counters:
-// of Enumerated candidates, Dominated were removed by the dominance
-// pre-pass, BoundedOut were skipped against the incumbent, and Simulated
+// of Enumerated candidates, Dominated were removed by the warm-start
+// pass, BoundedOut were skipped against the incumbent, and Simulated
 // reached the simulator. Done/Enumerated is the search's completion
 // fraction (every candidate ends in exactly one of the three buckets).
 type ProgressSnapshot struct {
@@ -421,28 +416,20 @@ type Options struct {
 	MaxMicroBatch int
 	// Workers bounds the pool of goroutines simulating candidate plans
 	// (one flat pool even across a Sweep's batches): 0 resolves to
-	// parallel.DefaultWorkers() (GOMAXPROCS, or the -workers override of
-	// the commands), 1 forces the serial path. Any worker count produces
+	// GOMAXPROCS, 1 forces the serial path. Any worker count produces
 	// byte-identical results.
 	Workers int
-	// NoPrune disables the analytic branch-and-bound (lower-bound job
-	// ordering, incumbent skipping, dominance pre-pass) and simulates
-	// every candidate, like the pre-bound evaluator. Results are identical
-	// either way; the perf harness uses it as the pruning speedup
-	// denominator.
+	// NoPrune disables the analytic branch-and-bound (the pricing
+	// cascade, warm-started incumbents, dominance marking, incumbent
+	// skipping) and simulates every candidate. Results are identical
+	// either way; the equivalence tests use it as their reference and the
+	// perf harness as the pruning speedup denominator.
 	NoPrune bool
-	// EagerReplay disables the lazy pricing cascade and prices every
-	// candidate with the O(ops) exact replay up front (the pre-cascade
-	// branch-and-bound: exact pricing pre-pass plus dominance filtering,
-	// no warm-started incumbents). Results are identical either way; the
-	// equivalence tests and the perf harness use it as the cascade's
-	// comparison point.
-	EagerReplay bool
 	// Stats, when non-nil, accumulates the pruning counters of this
 	// search — totals plus a per-family breakdown (Stats.Family).
 	Stats *Stats
 	// Progress, when non-nil, receives counter snapshots while the search
-	// runs: after enumeration, after the dominance pre-pass, periodically
+	// runs: after enumeration, after the warm-start pass, periodically
 	// as candidates resolve (at least every progressStride resolutions)
 	// and once in the terminal state. Invocations are serialized by the
 	// search, so the callback itself needs no locking; it runs on worker
@@ -470,34 +457,12 @@ type Options struct {
 	// (warm-start seeds never change winners, only pricing effort), the
 	// resumed table is byte-identical to an uninterrupted run's.
 	Resume map[GroupKey]Best
-	// Baseline selects the seed-faithful serial evaluator: one plan at a
-	// time, no pruning, memo caches bypassed, reference DES loop. It
-	// exists for the parallel-vs-serial equivalence tests and as the
-	// denominator of the perf harness (scripts/bench.sh); everyday
-	// callers leave it false.
-	Baseline bool
 }
 
 // progressStride is how many candidate resolutions may pass between two
-// Progress snapshots (milestones — enumeration, dominance, the terminal
+// Progress snapshots (milestones — enumeration, warm start, the terminal
 // state — always emit).
 const progressStride = 16
-
-// engineOptions maps the search options onto the per-simulation options.
-func (o Options) engineOptions() engine.Options {
-	return engine.Options{Params: o.Params, DisableCache: o.Baseline, ReferenceDES: o.Baseline}
-}
-
-// workers resolves the effective pool width (1 under Baseline).
-func (o Options) workers() int {
-	if o.Baseline {
-		return 1
-	}
-	return parallel.Resolve(o.Workers)
-}
-
-// prune reports whether the branch-and-bound path is active.
-func (o Options) prune() bool { return !o.Baseline && !o.NoPrune }
 
 // Optimize searches one family at one global batch size and returns the
 // most efficient feasible configuration. Candidate plans are simulated
@@ -552,7 +517,7 @@ type job struct {
 	flop     float64 // BatchFlopPerGPU, shared by the cascade's two pricings
 	exact    bool    // the bound equals the simulated time bit for bit
 	replay   bool    // the method has a tier-2 exact replay (StepLB hook)
-	prune    bool    // removed by the deterministic dominance pre-pass
+	prune    bool    // dominated by its group's warm-start seed
 	failed   bool    // precheck reported the error a simulation would
 	deferred bool    // exactly priced, simulation deferred to the final pass
 }
@@ -605,10 +570,9 @@ type simOut struct {
 // even when the bounds would have skipped it), priced by the tier-1
 // analytic floor, ordered cheapest-bound-first, warm-start-seeded per
 // group, and skipped against the group incumbent — paying the tier-2
-// exact replay only for candidates the floor fails to settle (or priced
-// exactly up front under EagerReplay, with the dominance pre-pass); the
-// winner — and the lowest-index error — is provably the one the unpruned
-// path reports either way.
+// exact replay only for candidates the floor fails to settle; the winner
+// — and the lowest-index error — is provably the one the unpruned path
+// reports either way.
 func evalGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [][]core.Plan, keys []string, opt Options) ([]*Best, []error, error) {
 	if opt.Stats == nil && opt.Progress != nil {
 		// Progress is built on the counters; give it a private set when the
@@ -659,9 +623,9 @@ func evalGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 	for i := range order {
 		order[i] = i
 	}
-	prune := opt.prune()
-	cascade := prune && !opt.EagerReplay
-	eopt := opt.engineOptions()
+	prune := !opt.NoPrune
+	workers := parallel.Resolve(opt.Workers)
+	eopt := engine.Options{Params: opt.Params}
 	outs := make([]simOut, len(jobs))
 	lbs := make([]float64, len(jobs))
 	incs := make([]incumbent, len(groups))
@@ -709,22 +673,20 @@ func evalGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 		par = *opt.Params
 	}
 	var rc *schedule.ReplayCache
-	if cascade {
+	if prune {
 		// One prefix-amortization cache for the whole call: candidates at
 		// one grid point share replay checkpoints across the seed pass and
 		// the tier-2 pricings below.
 		rc = schedule.NewReplayCache()
 	}
 	if prune && len(jobs) > 0 {
-		// Precheck and price every candidate on the same worker pool the
-		// simulations use (each entry is independent, so the pass is
-		// deterministic); under EagerReplay the exact replays are O(ops)
-		// and would otherwise serialize in front of the pool. Recording
-		// precheck failures here, before any pruning decision, is what
-		// makes the per-candidate errors independent of pruning: the
-		// failing candidate reports even when the bounds would have skipped
-		// its simulation.
-		parallel.MapCtx(ctx, opt.workers(), jobs, func(i int, _ job) (struct{}, error) {
+		// Precheck and floor-price every candidate on the same worker pool
+		// the simulations use (each entry is independent, so the pass is
+		// deterministic). Recording precheck failures here, before any
+		// pruning decision, is what makes the per-candidate errors
+		// independent of pruning: the failing candidate reports even when
+		// the bounds would have skipped its simulation.
+		parallel.MapCtx(ctx, workers, jobs, func(i int, _ job) (struct{}, error) {
 			j := &jobs[i]
 			if err := engine.Precheck(c, m, j.plan, eopt); err != nil {
 				outs[i].err = fmt.Errorf("search: %v: %w", j.plan, err)
@@ -732,17 +694,11 @@ func evalGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 				return struct{}{}, nil
 			}
 			j.flop = m.BatchFlopPerGPU(j.plan.MicroBatch, j.plan.NumMicro, j.plan.PP, j.plan.TP)
-			var lb float64
-			if cascade {
-				// Tier 1: the cheap floor. Whether an exact tier-2 price
-				// exists is a trait of the method, recorded for the
-				// execution pass.
-				tr := schedule.TraitsOf(j.plan.Method)
-				j.replay = tr.StepLB != nil || tr.StepLBCached != nil
-				lb = analytic.Floor(c, m, j.plan, &par)
-			} else {
-				lb, j.exact = analytic.LowerBound(c, m, j.plan, &par)
-			}
+			// Tier 1: the cheap floor. Whether an exact tier-2 price exists
+			// is a trait of the method, recorded for the execution pass.
+			tr := schedule.TraitsOf(j.plan.Method)
+			j.replay = tr.StepLB != nil || tr.StepLBCached != nil
+			lb := analytic.Floor(c, m, j.plan, &par)
 			lbs[i] = lb
 			if lb > 0 {
 				j.ub = j.flop / lb
@@ -754,14 +710,10 @@ func evalGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		if cascade {
-			if err := seedGroups(ctx, c, m, groups, keys, jobs, bounds, lbs, incs, rc, &par, famStats, opt.Stats); err != nil {
-				return nil, nil, err
-			}
-		} else {
-			markDominated(jobs, bounds, famStats, opt.Stats)
+		if err := seedGroups(ctx, c, m, groups, keys, jobs, bounds, lbs, incs, rc, &par, famStats, opt.Stats); err != nil {
+			return nil, nil, err
 		}
-		progress(true) // seed/dominance pass resolved its share of the candidates
+		progress(true) // the seed pass resolved its share of the candidates
 		// Cheapest (fastest-looking) bound first, stable on the flat
 		// enumeration order: the likely winners simulate early and the
 		// incumbent tightens before the long tail is reached.
@@ -793,7 +745,7 @@ func evalGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 			}
 		}
 	}
-	_, ctxErr := parallel.MapCtx(ctx, opt.workers(), order, func(_ int, ji int) (struct{}, error) {
+	_, ctxErr := parallel.MapCtx(ctx, workers, order, func(_ int, ji int) (struct{}, error) {
 		j := &jobs[ji]
 		if j.failed {
 			// The precheck already recorded the exact error the simulation
@@ -814,7 +766,7 @@ func evalGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 			resolve(j.group)
 			return struct{}{}, nil
 		}
-		if cascade && j.replay && !j.exact {
+		if prune && j.replay && !j.exact {
 			// Tier 2: the floor failed to settle this candidate against the
 			// incumbent; pay the exact O(ops) replay once. Both tiers are
 			// admissible, so tightening the bound here can only turn "maybe"
@@ -845,7 +797,7 @@ func evalGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 				return struct{}{}, nil
 			}
 		}
-		if cascade && j.exact {
+		if prune && j.exact {
 			// The exact price IS the simulated time, so nothing more is
 			// learned by simulating now; defer the simulation to the final
 			// pass, which runs it only if the candidate still survives the
@@ -872,7 +824,7 @@ func evalGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 		resolve(j.group)
 		return struct{}{}, nil
 	})
-	if cascade && ctxErr == nil {
+	if prune && ctxErr == nil {
 		// Final pass over the deferred exactly-priced candidates, best
 		// first per group: the leader simulates (producing the full
 		// engine.Result the winner needs), which makes every remaining
@@ -974,8 +926,7 @@ func matchShape(a, b core.Plan) bool {
 // and depends only on the enumeration, the floors and the replays, so the
 // Dominated counter stays deterministic at any worker count. Groups with
 // no replayable candidate (the list-scheduled V-schedule family) get no
-// seed and start against an empty incumbent, exactly like the pre-cascade
-// path when no exact candidate existed.
+// seed and start against an empty incumbent.
 func seedGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [][]core.Plan, keys []string, jobs []job, bounds []int, lbs []float64, incs []incumbent, rc *schedule.ReplayCache, par *engine.Params, famStats []*FamilyStats, stats *Stats) error {
 	// Family key ascending, batch descending: the largest batch resolves
 	// first, so its winner shape — typically stable across adjacent grid
@@ -1065,9 +1016,11 @@ func seedGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 			continue
 		}
 		incs[gi].update(bestUb, seg[best].idx)
-		// Dominance against the seed's true throughput, exactly the
-		// markDominated rule: a candidate whose admissible upper bound
-		// falls below it — or ties it from a higher index — can never win.
+		// Dominance against the seed's true throughput: a candidate whose
+		// admissible upper bound falls below it — or ties it from a higher
+		// index — can never win under the pickBest rule. Candidates whose
+		// precheck failed carry no bound and are left alone: their error
+		// must surface regardless of pruning.
 		for i := range seg {
 			j := &seg[i]
 			if j.failed {
@@ -1086,50 +1039,6 @@ func seedGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 		prevWinner[keys[gi]] = seg[best].plan
 	}
 	return nil
-}
-
-// markDominated removes, within each group, candidates an exactly-priced
-// sibling provably beats: the best exact candidate's throughput is known
-// without simulation (its bound is the simulated time bit for bit), so any
-// candidate whose upper bound falls below it — or ties it from a higher
-// enumeration index — can never win under the pickBest rule. The pass is
-// deterministic: it depends only on the enumeration and the bounds.
-// Candidates whose precheck failed carry no bound and are left alone on
-// both sides: their error must surface regardless of pruning. It serves
-// the EagerReplay path, where every candidate is priced exactly up front;
-// the cascade's equivalent is seedGroups.
-func markDominated(jobs []job, bounds []int, famStats []*FamilyStats, stats *Stats) {
-	for gi := 0; gi+1 < len(bounds); gi++ {
-		seg := jobs[bounds[gi]:bounds[gi+1]]
-		bestTp, bestIdx, found := 0.0, 0, false
-		for i := range seg {
-			j := &seg[i]
-			if !j.exact || j.failed {
-				continue
-			}
-			if !found || j.ub > bestTp || (j.ub == bestTp && j.idx < bestIdx) {
-				bestTp, bestIdx, found = j.ub, j.idx, true
-			}
-		}
-		if !found {
-			continue
-		}
-		for i := range seg {
-			j := &seg[i]
-			if j.failed {
-				continue
-			}
-			if j.ub < bestTp || (j.ub == bestTp && bestIdx < j.idx) {
-				j.prune = true
-				if stats != nil {
-					stats.Dominated.Add(1)
-					if fs := famStats[gi]; fs != nil {
-						fs.Dominated.Add(1)
-					}
-				}
-			}
-		}
-	}
 }
 
 // Sweep runs the family's search across batch sizes, skipping batches with
@@ -1261,10 +1170,6 @@ func Enumerate(ctx context.Context, c hw.Cluster, m model.Transformer, f Family,
 	if opt.MaxMicroBatch <= 0 {
 		opt.MaxMicroBatch = 16
 	}
-	estimate := memsim.CachedEstimate
-	if opt.Baseline {
-		estimate = memsim.Estimate
-	}
 	nGPU := c.NumGPUs()
 	var plans []core.Plan
 	for _, v := range f.Info().Variants {
@@ -1316,8 +1221,7 @@ func Enumerate(ctx context.Context, c hw.Cluster, m model.Transformer, f Family,
 								if p.Validate(m) != nil {
 									continue
 								}
-								if !opt.Baseline &&
-									!analytic.MemoryFeasible(m, p, c.GPU.MemBytes) {
+								if !analytic.MemoryFeasible(m, p, c.GPU.MemBytes) {
 									// The floor never exceeds the estimate,
 									// so this skips only plans the full
 									// check below would reject — without
@@ -1328,7 +1232,7 @@ func Enumerate(ctx context.Context, c hw.Cluster, m model.Transformer, f Family,
 									// consulting the in-flight hook.
 									continue
 								}
-								if !memsim.Feasible(estimate(m, p), c.GPU.MemBytes) {
+								if !memsim.Feasible(memsim.CachedEstimate(m, p), c.GPU.MemBytes) {
 									continue
 								}
 								plans = append(plans, p)

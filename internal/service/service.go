@@ -18,12 +18,11 @@
 //
 // # Worker budgets
 //
-// The search worker pool width is a per-request value clamped to
-// Config.MaxWorkersPerRequest, threaded explicitly through
-// search.Options.Workers — never through the deprecated process-global
-// parallel.SetDefaultWorkers, which concurrent requests would race on.
-// Worker counts never change results, so they are excluded from the
-// result-cache key.
+// The search worker pool width is a per-request value (0 means
+// GOMAXPROCS) clamped to Config.MaxWorkersPerRequest and threaded
+// explicitly through search.Options.Workers, so concurrent requests never
+// share a budget. Worker counts never change results, so they are excluded
+// from the result-cache key.
 package service
 
 import (
@@ -239,8 +238,8 @@ func (s *Service) Health(ctx context.Context) Health {
 	return h
 }
 
-// workers resolves a request's worker budget: the requested count (or the
-// process default when 0), clamped to MaxWorkersPerRequest when one is
+// workers resolves a request's worker budget: the requested count (or
+// GOMAXPROCS when 0), clamped to MaxWorkersPerRequest when one is
 // configured.
 func (s *Service) workers(requested int) int {
 	w := parallel.Resolve(requested)

@@ -64,9 +64,9 @@ func Extrapolate(m model.Transformer, r engine.Result, bcrit float64, nGPUs int)
 // lowest projected training time (equivalently cost, at fixed size) and
 // returns the resulting cost/time curve sorted by cluster size. Cluster
 // sizes are extrapolated concurrently on workers goroutines (0 resolves to
-// parallel.DefaultWorkers()); the per-size selection keeps the serial
-// iteration order, so the curve is deterministic at any width. Cancelling
-// ctx aborts the extrapolation between cluster sizes and returns ctx.Err().
+// GOMAXPROCS); the per-size selection keeps the serial iteration order, so
+// the curve is deterministic at any width. Cancelling ctx aborts the
+// extrapolation between cluster sizes and returns ctx.Err().
 func Curve(ctx context.Context, m model.Transformer, results []engine.Result, bcrit float64, clusterSizes []int, workers int) ([]Point, error) {
 	if len(results) == 0 {
 		return nil, fmt.Errorf("tradeoff: no measured results")
