@@ -1,7 +1,8 @@
 #!/bin/sh
-# ci.sh — build + vet + format check + tests (shuffled) + an HTTP smoke
-# test of bfpp-serve, clean and with a chaos script armed (a retrying
-# client must absorb the injected transient fault and still byte-match)
+# ci.sh — build + vet + format check + tests (shuffled) + the bfppbench
+# module's vet and tests + an HTTP smoke test of bfpp-serve, clean and
+# with a chaos script armed (a retrying client must absorb the injected
+# transient fault and still byte-match)
 # + a bfpp-calibrate smoke (deterministic fit, byte-stable fitted search)
 # + a race pass over every internal package.
 # Set SKIP_RACE=1 on toolchains without cgo.
@@ -40,6 +41,10 @@ fi
 
 echo "== go test (-shuffle=on: no hidden inter-test ordering dependencies)"
 go test -shuffle=on ./...
+
+echo "== bfppbench (the repo benchmark is its own module; build, vet and test it"
+echo "   against this tree, so a refactor cannot leave it unbuildable)"
+(cd bfppbench && go vet ./... && go test ./...)
 
 echo "== benchmarks smoke (benchtime=1x, so they cannot rot; includes the"
 echo "   SweepAppendixELarge interactive-deadline assertion)"

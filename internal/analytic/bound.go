@@ -7,14 +7,13 @@ package analytic
 // maximum of the placement-generic floor (per-device compute, pipeline
 // warm-up, single-micro-batch latency, exposed communication for
 // non-overlapped implementations) and the generator's Traits.StepFloor
-// hook — priced for every enumerated candidate. LowerBound /
-// LowerBoundCached is tier 2: the generator's Traits.StepLB hook, which
-// for every generator with an implicit op sequence replays the schedule
-// recurrence on the engine's per-device compute/pp/dp stream model exactly
+// hook — priced for every enumerated candidate. LowerBound is tier 2: the
+// generator's Traits.StepLB hook, which for every generator registering
+// the shared replay hook replays the plan's checked device programs on
+// the engine's per-device compute/pp/dp stream model exactly
 // (bit-identical to the DES makespan, overlapped implementations
-// included), paid only when the floor fails to prune; generators without a
-// replayable sequence (the list-scheduled V-schedule) have no tier 2 and
-// their floor is the final bound. internal/search uses the bounds to order
+// included), paid only when the floor fails to prune; a generator with no
+// tier-2 hook (the V-schedule) gets its floor as the final bound. internal/search uses the bounds to order
 // candidates cheapest-first and to skip simulations that provably cannot
 // beat the incumbent.
 
@@ -30,21 +29,21 @@ import (
 // LowerBound returns an admissible lower bound on the simulated batch time
 // of (c, m, p) under the engine calibration par (nil means
 // engine.Defaults()), and whether the bound is exact — equal, bit for bit,
-// to engine.SimulateOpts' BatchTime, which holds for every schedule whose
-// generator replays its implicit program on the engine's multi-stream
-// model (all the paper methods plus WS-1F1B, overlapped or not; only the
-// list-scheduled V-schedule reports a floor). The plan must be valid for
-// the model.
+// to engine.SimulateOpts' BatchTime, which holds for every plan whose
+// generator registers the replay hook (all the paper methods plus
+// WS-1F1B, overlapped or not; the V-schedule reports a floor). It is
+// total over plans with positive sizes: one with no checked schedule,
+// which engine.Precheck rejects (NumMicro < PP, say), gets its finite,
+// positive floor, reported not exact.
 func LowerBound(c hw.Cluster, m model.Transformer, p core.Plan, par *engine.Params) (lb float64, exact bool) {
 	return LowerBoundCached(c, m, p, par, nil)
 }
 
-// LowerBoundCached is LowerBound with a prefix-amortization cache: when the
-// generator registered a StepLBCached hook and rc is non-nil, candidates
-// sharing an op-sequence prefix (the search passes one cache per pricing
-// group) checkpoint and resume the replay instead of re-running it. The
-// returned bound is identical to LowerBound's — the cache is a pure
-// performance channel — and a nil rc degrades to the uncached replay.
+// LowerBoundCached is LowerBound with a cache shared by the candidates of
+// one pricing group, handed to the generator's StepLBCached hook when one
+// is registered. No generator registers one, so it returns exactly
+// LowerBound's result; it stays for the benchmark harness under
+// bfppbench/, which calls it.
 func LowerBoundCached(c hw.Cluster, m model.Transformer, p core.Plan, par *engine.Params, rc *schedule.ReplayCache) (lb float64, exact bool) {
 	pr := engine.Defaults()
 	if par != nil {

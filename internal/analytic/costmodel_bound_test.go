@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"bfpp/internal/core"
 	"bfpp/internal/cost"
 	"bfpp/internal/engine"
 	"bfpp/internal/hw"
@@ -41,8 +40,8 @@ func boundCostModels(t *testing.T) map[string]cost.Model {
 // replay exactness hold for EVERY registered generator under EVERY
 // registered cost model — the per-op tuples change, the argument does not.
 // Same contract as TestLowerBoundNeverExceedsSimulation: bound <= simulated
-// always, and every method except the list-scheduled V-schedule must report
-// an exact bound that matches the simulation bit for bit.
+// always, and every method that registers a tier-2 hook must report an
+// exact bound that matches the simulation bit for bit.
 func TestLowerBoundAdmissibleForEveryCostModel(t *testing.T) {
 	c := hw.PaperCluster()
 	m := boundModel()
@@ -56,6 +55,7 @@ func TestLowerBoundAdmissibleForEveryCostModel(t *testing.T) {
 			for _, g := range schedule.Generators() {
 				method := g.Method()
 				traits := g.Traits()
+				tier2 := traits.StepLB != nil || traits.StepLBCached != nil
 				checked := 0
 				for trial := 0; trial < 400 && checked < 25; trial++ {
 					p, ok := randomBoundPlan(rng, method, traits)
@@ -80,7 +80,7 @@ func TestLowerBoundAdmissibleForEveryCostModel(t *testing.T) {
 							t.Errorf("%v: exact bound %v != simulated %v (diff %v) for %v",
 								method, lb, res.BatchTime, lb-res.BatchTime, p)
 						}
-					} else if method != core.VSchedule {
+					} else if tier2 {
 						t.Errorf("%v: bound not exact for %v under the %s model", method, p, name)
 					}
 				}

@@ -51,27 +51,30 @@ func DefaultProfile() Profile {
 	}
 }
 
-// Validate reports the first structurally invalid field of the profile: the
-// curve and efficiencies must be positive fractions, the latencies and the
-// launch overhead non-negative.
+// Validate reports the first structurally invalid field of the profile:
+// the curve and efficiencies must be positive fractions, the half-rows and
+// half-width positive and finite, the latencies and the launch overhead
+// non-negative and finite. The checks are written so NaN fails them too:
+// JSON cannot carry NaN or an infinity, but a fit over overflowing
+// samples and library callers can.
 func (p Profile) Validate() error {
 	switch {
-	case p.Kernel.MaxEff <= 0 || p.Kernel.MaxEff > 1:
+	case !(p.Kernel.MaxEff > 0 && p.Kernel.MaxEff <= 1):
 		return fmt.Errorf("kernel max efficiency %v outside (0, 1]", p.Kernel.MaxEff)
-	case p.Kernel.HalfRows <= 0:
-		return fmt.Errorf("kernel half-rows %v must be positive", p.Kernel.HalfRows)
-	case p.Kernel.HalfWidth <= 0:
-		return fmt.Errorf("kernel half-width %v must be positive", p.Kernel.HalfWidth)
-	case p.KernelLaunch < 0:
-		return fmt.Errorf("kernel launch overhead %v must be non-negative", p.KernelLaunch)
-	case p.TPLinkEfficiency <= 0 || p.TPLinkEfficiency > 1:
+	case !(p.Kernel.HalfRows > 0) || math.IsInf(p.Kernel.HalfRows, 1):
+		return fmt.Errorf("kernel half-rows %v must be positive and finite", p.Kernel.HalfRows)
+	case !(p.Kernel.HalfWidth > 0) || math.IsInf(p.Kernel.HalfWidth, 1):
+		return fmt.Errorf("kernel half-width %v must be positive and finite", p.Kernel.HalfWidth)
+	case !(p.KernelLaunch >= 0) || math.IsInf(p.KernelLaunch, 1):
+		return fmt.Errorf("kernel launch overhead %v must be non-negative and finite", p.KernelLaunch)
+	case !(p.TPLinkEfficiency > 0 && p.TPLinkEfficiency <= 1):
 		return fmt.Errorf("tp link efficiency %v outside (0, 1]", p.TPLinkEfficiency)
-	case p.DPLinkEfficiency <= 0 || p.DPLinkEfficiency > 1:
+	case !(p.DPLinkEfficiency > 0 && p.DPLinkEfficiency <= 1):
 		return fmt.Errorf("dp link efficiency %v outside (0, 1]", p.DPLinkEfficiency)
-	case p.IntraNodeLatency < 0:
-		return fmt.Errorf("intra-node latency %v must be non-negative", p.IntraNodeLatency)
-	case p.InterNodeLatency < 0:
-		return fmt.Errorf("inter-node latency %v must be non-negative", p.InterNodeLatency)
+	case !(p.IntraNodeLatency >= 0) || math.IsInf(p.IntraNodeLatency, 1):
+		return fmt.Errorf("intra-node latency %v must be non-negative and finite", p.IntraNodeLatency)
+	case !(p.InterNodeLatency >= 0) || math.IsInf(p.InterNodeLatency, 1):
+		return fmt.Errorf("inter-node latency %v must be non-negative and finite", p.InterNodeLatency)
 	}
 	return nil
 }

@@ -260,4 +260,44 @@ func TestFitPartialCategories(t *testing.T) {
 	if _, err := Fit([]Sample{{Op: "warp", Seconds: 1}}); err == nil {
 		t.Error("unknown op should not fit")
 	}
+	// An ideal transfer time that overflows to +Inf drives the link fit
+	// to NaN; it must be Fit's error, not a NaN profile.
+	overflow := []Sample{
+		{Op: "inter", Bytes: 1e308, Bandwidth: 1e-300, Seconds: 1},
+		{Op: "inter", Bytes: 1000, Bandwidth: 1e9, Seconds: 2},
+	}
+	if got, err := Fit(overflow); err == nil || !strings.HasPrefix(err.Error(), "fit: ") {
+		t.Errorf("overflowing link samples: Fit = %+v, %v; want a fit error", got, err)
+	}
+}
+
+// TestProfileValidateRejectsNonFinite pins that NaN or +Inf in any field
+// invalidates a profile, so the floor, the replay and the simulator never
+// price with one.
+func TestProfileValidateRejectsNonFinite(t *testing.T) {
+	if err := DefaultProfile().Validate(); err != nil {
+		t.Fatalf("default profile invalid: %v", err)
+	}
+	fields := []struct {
+		name string
+		at   func(*Profile) *float64
+	}{
+		{"MaxEff", func(p *Profile) *float64 { return &p.Kernel.MaxEff }},
+		{"HalfRows", func(p *Profile) *float64 { return &p.Kernel.HalfRows }},
+		{"HalfWidth", func(p *Profile) *float64 { return &p.Kernel.HalfWidth }},
+		{"KernelLaunch", func(p *Profile) *float64 { return &p.KernelLaunch }},
+		{"TPLinkEfficiency", func(p *Profile) *float64 { return &p.TPLinkEfficiency }},
+		{"DPLinkEfficiency", func(p *Profile) *float64 { return &p.DPLinkEfficiency }},
+		{"IntraNodeLatency", func(p *Profile) *float64 { return &p.IntraNodeLatency }},
+		{"InterNodeLatency", func(p *Profile) *float64 { return &p.InterNodeLatency }},
+	}
+	for _, f := range fields {
+		for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+			p := DefaultProfile()
+			*f.at(&p) = bad
+			if err := p.Validate(); err == nil {
+				t.Errorf("%s = %v passed validation", f.name, bad)
+			}
+		}
+	}
 }

@@ -306,14 +306,14 @@ func (b *builder) build() {
 	for d := 0; d < nDev; d++ {
 		b.computeStream[d] = b.sim.Stream(streamName(0, d))
 	}
-	if p.OverlapPP && p.Method.Pipelined() && p.PP > 1 {
+	ppSide, dpSide := schedule.SideStreams(p)
+	if ppSide {
 		b.ppStream = grow(&sc.pp, nDev)
 		for d := 0; d < nDev; d++ {
 			b.ppStream[d] = b.sim.Stream(streamName(1, d))
 		}
 	}
-	hasDPOps := p.DP > 1 || p.Sharding == core.DPFS
-	if p.OverlapDP && hasDPOps {
+	if dpSide {
 		b.dpStream = grow(&sc.dp, nDev)
 		for d := 0; d < nDev; d++ {
 			b.dpStream[d] = b.sim.Stream(streamName(2, d))

@@ -50,10 +50,10 @@ func AppendixELarge(ctx context.Context, cfg Config) (string, error) {
 		b.WriteString("\n")
 	}
 	b.WriteString("branch-and-bound: candidates are priced by the analytic step-time lower\n")
-	b.WriteString("bound (the multi-stream schedule replay, exact for every generator with\n")
-	b.WriteString("an implicit op sequence — overlapped or not; a vee warmup/drain floor\n")
-	b.WriteString("for the list-scheduled V-schedule) and only simulated when the bound can\n")
-	b.WriteString("still beat the incumbent; winners are byte-identical to the exhaustive\n")
-	b.WriteString("search.\n")
+	b.WriteString("bound (the multi-stream replay of the checked device programs, exact for\n")
+	b.WriteString("every generator that registers it — overlapped or not; a vee\n")
+	b.WriteString("warmup/drain floor for the V-schedule) and only simulated when the bound\n")
+	b.WriteString("can still beat the incumbent; winners are byte-identical to the\n")
+	b.WriteString("exhaustive search.\n")
 	return b.String(), nil
 }

@@ -57,15 +57,23 @@ var (
 // caller's plan but shares the (immutable) device programs with every
 // other plan of the same key; callers must not mutate them.
 func Cached(p core.Plan) (*Schedule, error) {
+	devices, err := programs(p)
+	if err != nil {
+		return nil, err
+	}
+	return &Schedule{Plan: p, Devices: devices}, nil
+}
+
+// programs returns the memoized checked device programs of the plan's key,
+// generating and checking them on a miss: Cached without the Schedule
+// wrapper, so the replay reads the programs without allocating.
+func programs(p core.Plan) ([]Program, error) {
 	k := KeyOf(p)
 	if v, ok := cache.Load(k); ok {
 		//lint:allow globalstate hit/miss counters are observability only; they never reach schedule or table bytes
 		cacheHits.Add(1)
 		e := v.(*cacheEntry)
-		if e.err != nil {
-			return nil, e.err
-		}
-		return &Schedule{Plan: p, Devices: e.devices}, nil
+		return e.devices, e.err
 	}
 	//lint:allow globalstate hit/miss counters are observability only; they never reach schedule or table bytes
 	cacheMiss.Add(1)
@@ -85,10 +93,7 @@ func Cached(p core.Plan) (*Schedule, error) {
 	if v, raced := cache.LoadOrStore(k, e); raced {
 		e = v.(*cacheEntry)
 	}
-	if e.err != nil {
-		return nil, e.err
-	}
-	return &Schedule{Plan: p, Devices: e.devices}, nil
+	return e.devices, e.err
 }
 
 // CacheStats returns the cumulative hit and miss counts of the schedule

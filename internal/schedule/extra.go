@@ -36,11 +36,9 @@ func (weightStashGen) Traits() Traits {
 		// One stashed copy per in-flight micro-batch beyond the current
 		// weights.
 		StashedWeights: func(p core.Plan) int { return oneFOneBPairs(p) - 1 },
-		// The compute program is 1F1B's, so the multi-stream replay prices
-		// it exactly — overlapped communication included.
-		StepLB: func(p core.Plan, c StepCosts) (float64, bool) {
-			return exactOrFloor(p, c, oneFOneBOps, nil)
-		},
+		// The multi-stream replay prices the checked programs exactly,
+		// overlapped communication included.
+		StepLB: replayLB,
 	}
 }
 
@@ -118,8 +116,9 @@ func (vScheduleGen) Traits() Traits {
 		// whatever the cap.
 		InFlightFloor: func(p core.Plan) int { return p.Loops },
 		KeyExtra:      vCap,
-		// The greedy list-scheduled programs have no implicit op sequence
-		// to replay, so the method has no exact tier-2 bound; the
+		// No tier-2 hook: the search simulates every V-schedule candidate
+		// its floor fails to prune. (The shared replay would price these
+		// checked programs too; ROADMAP item 5 tracks registering it.) The
 		// vee-placement warmup/drain floor (with its cap-aware term) is the
 		// cheap tier-1 bound internal/analytic maximizes with the generic
 		// floor.

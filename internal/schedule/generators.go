@@ -46,11 +46,8 @@ func (gpipeGen) Traits() Traits {
 		Overlap:   true,
 		Shardings: []core.Sharding{core.DP0, core.DPPS},
 		InFlight:  allPairs,
-		StepLB: func(p core.Plan, c StepCosts) (float64, bool) {
-			return exactOrFloor(p, c, gpipeOps, forwardFirstFloor)
-		},
-		StepFloor:    forwardFirstFloor,
-		StepLBCached: gpipeCachedLB,
+		StepLB:    replayLB,
+		StepFloor: forwardFirstFloor,
 	}
 }
 
@@ -78,9 +75,7 @@ func (oneFOneBGen) Traits() Traits {
 		Shardings:        []core.Sharding{core.DP0},
 		InFlight:         oneFOneBPairs,
 		GradsOutsidePeak: true,
-		StepLB: func(p core.Plan, c StepCosts) (float64, bool) {
-			return exactOrFloor(p, c, oneFOneBOps, nil)
-		},
+		StepLB:           replayLB,
 	}
 }
 
@@ -175,11 +170,7 @@ func (depthFirstGen) Traits() Traits {
 		Shardings:        []core.Sharding{core.DP0},
 		InFlight:         func(p core.Plan) int { return sequencedPairs(p, p.PP) },
 		GradsOutsidePeak: true,
-		StepLB: func(p core.Plan, c StepCosts) (float64, bool) {
-			return exactOrFloor(p, c, func(p core.Plan) (func(int) int, func(int, int) Op) {
-				return sequencedOps(p, p.PP)
-			}, nil)
-		},
+		StepLB:           replayLB,
 	}
 }
 
@@ -203,10 +194,7 @@ func (hybridGen) Traits() Traits {
 		Shardings: []core.Sharding{core.DP0},
 		InFlight:  func(p core.Plan) int { return sequencedPairs(p, p.SequenceLen()) },
 		KeyExtra:  core.Plan.SequenceLen,
-		StepLB: func(p core.Plan, c StepCosts) (float64, bool) {
-			return exactOrFloor(p, c, hybridSeq, nil)
-		},
-		StepLBCached: hybridCachedLB,
+		StepLB:    replayLB,
 		// Section 4.2: micro-batch sequence lengths between N_PP (plain
 		// depth-first ordering, Sequence zero) and N_mb (breadth-first-like).
 		SequenceOptions: func(p core.Plan) []int {
@@ -246,10 +234,8 @@ func (breadthFirstGen) Traits() Traits {
 		Shardings:           []core.Sharding{core.DP0, core.DPFS},
 		InFlight:            allPairs,
 		PerStageAggregation: true,
-		StepLB: func(p core.Plan, c StepCosts) (float64, bool) {
-			return exactOrFloor(p, c, bfOps, forwardFirstFloor)
-		},
-		StepFloor: forwardFirstFloor,
+		StepLB:              replayLB,
+		StepFloor:           forwardFirstFloor,
 	}
 }
 
@@ -295,9 +281,7 @@ func (noPipelineDFGen) Traits() Traits {
 		Shardings: []core.Sharding{core.DP0, core.DPFS},
 		// One micro-batch resident in each stage's worth of checkpoints.
 		InFlight: func(p core.Plan) int { return p.Loops },
-		StepLB: func(p core.Plan, c StepCosts) (float64, bool) {
-			return exactOrFloor(p, c, noPipelineDFOps, nil)
-		},
+		StepLB:   replayLB,
 	}
 }
 
@@ -345,9 +329,7 @@ func (noPipelineBFGen) Traits() Traits {
 		Shardings:           []core.Sharding{core.DP0, core.DPFS},
 		InFlight:            allPairs,
 		PerStageAggregation: true,
-		StepLB: func(p core.Plan, c StepCosts) (float64, bool) {
-			return exactOrFloor(p, c, noPipelineBFOps, nil)
-		},
+		StepLB:              replayLB,
 	}
 }
 

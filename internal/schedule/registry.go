@@ -58,12 +58,15 @@ type Traits struct {
 	// of the plan under the given per-operation costs, and whether the
 	// bound is exact (bit-identical to the DES makespan, which lets the
 	// search skip the simulation entirely). The generic placement-level
-	// floor of internal/analytic applies on top, so nil is always safe;
-	// a hook only tightens pruning. The search's pricing cascade treats a
-	// non-nil StepLB as tier 2 — the O(ops) price it pays only when the
-	// cheap tier-1 floor fails to prune — so the hook must stay O(ops) or
-	// better and a generator whose bound is merely a cheap floor belongs
-	// in StepFloor instead.
+	// floor of internal/analytic and StepFloor apply on top of a non-exact
+	// result, so nil is always safe; a hook only tightens pruning. The
+	// search's pricing cascade treats a non-nil StepLB as tier 2 — the
+	// O(ops) price it pays only when the cheap tier-1 floor fails to prune
+	// — so the hook must stay O(ops) or better and a generator whose bound
+	// is merely a cheap floor belongs in StepFloor instead. A generator
+	// gets an exact tier 2 by setting this to the shared replay hook of
+	// stepbound.go, which replays the plan's checked programs from Cached:
+	// there is no op sequence to write beside Generate.
 	StepLB func(p core.Plan, c StepCosts) (lb float64, exact bool)
 	// StepFloor returns a cheap (O(1)-ish, no replay) admissible lower
 	// bound on the simulated batch time, consulted by the search's tier-1
@@ -72,13 +75,12 @@ type Traits struct {
 	// same admissibility contract as StepLB, without the exactness
 	// channel); nil means the generic floor alone prices tier 1.
 	StepFloor func(p core.Plan, c StepCosts) float64
-	// StepLBCached is StepLB with a prefix-amortization cache: candidates
-	// at one grid point that share an op-sequence prefix (or a whole
-	// sequence) may checkpoint the replay's per-stream cursor state in rc
-	// and resume per-candidate. It must return exactly what StepLB
-	// returns — the cache is a pure performance channel — and must accept
-	// a nil rc (falling back to the uncached replay). nil means StepLB is
-	// always priced from scratch.
+	// StepLBCached is StepLB with a cache shared by the candidates of one
+	// search group, preferred over StepLB when set. It must return exactly
+	// what StepLB returns and accept a nil rc. No generator registers it:
+	// the replay reads programs Cached already memoizes, so candidates
+	// have nothing to share. The field stays for the benchmark harness
+	// under bfppbench/, which reads it.
 	StepLBCached func(p core.Plan, c StepCosts, rc *ReplayCache) (lb float64, exact bool)
 	// InFlightFloor is a cheap admissible lower bound on InFlight, for
 	// generators whose exact hook is expensive (the V-schedule's InFlight

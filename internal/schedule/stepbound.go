@@ -7,24 +7,23 @@ import (
 )
 
 // This file implements the schedule-side half of the analytic step-time
-// bounds (BaPipe-style search pruning, see internal/analytic): a
-// closed-form replay that prices a plan's device programs without
-// constructing them and without running the discrete-event simulator.
+// bounds (BaPipe-style search pruning, see internal/analytic): a replay
+// that prices a plan's checked device programs — the ones Cached memoizes
+// and the engine simulates — without running the discrete-event simulator.
 //
 // The replay mirrors the engine's execution model exactly. The engine maps
-// every operation onto per-device in-order streams: compute operations
-// always ride the device's compute stream; pipeline transfers ride a
-// separate per-device pp stream when the implementation overlaps them
-// (inline on the compute stream otherwise, paying the blocking stall); and
-// data-parallel restores/reductions ride a separate dp stream when
-// overlapped. Every task obeys the same recurrence the DES evaluates:
-// start = max(stream frontier, latest dependency finish), end = start +
-// duration. Replaying that recurrence over the generator's implicit op
-// sequence (a closure mapping (rank, k) to the k-th program op, never a
-// materialized Program) with one cursor per stream reproduces the DES
-// makespan bit for bit — for non-overlapped and overlapped plans alike —
-// which is what lets the search treat the bound as the exact simulated
-// time and skip the simulation entirely.
+// every operation onto per-device in-order streams laid out by
+// SideStreams: compute operations always ride the device's compute stream;
+// pipeline transfers ride a separate per-device pp stream when the
+// implementation overlaps them (inline on the compute stream otherwise,
+// paying the blocking stall); and data-parallel restores/reductions ride a
+// separate dp stream when overlapped. Every task obeys the same recurrence
+// the DES evaluates: start = max(stream frontier, latest dependency
+// finish), end = start + duration. Replaying that recurrence over the
+// programs with one cursor per stream reproduces the DES makespan bit for
+// bit — for non-overlapped and overlapped plans alike — which is what lets
+// the search treat the bound as the exact simulated time and skip the
+// simulation entirely.
 
 // StepCosts holds the engine's derived per-operation durations for one
 // (cluster, model, plan) configuration, in seconds. engine.DeriveCosts is
@@ -47,25 +46,26 @@ type StepCosts struct {
 	Opt float64
 }
 
-// NonOverlapped reports whether every operation of the plan rides the
-// per-device compute streams: the engine creates a separate pipeline
-// stream only for overlapped pipelined plans with PP > 1, and a separate
-// data-parallel stream only for overlapped plans with data-parallel work.
-func NonOverlapped(p core.Plan) bool {
-	pp := p.OverlapPP && p.Method.Pipelined() && p.PP > 1
-	dp := p.OverlapDP && (p.DP > 1 || p.Sharding == core.DPFS)
-	return !pp && !dp
+// SideStreams is the engine's stream layout: besides its compute stream,
+// each device gets a pipeline-transfer stream (pp) iff the implementation
+// overlaps pipeline transfers and the plan is pipelined with PP > 1, and a
+// data-parallel stream (dp) iff it overlaps data-parallel work and the
+// plan has some (DP > 1, or DP-FS restores). Every operation without its
+// own stream rides the compute stream. The engine's builder and the replay
+// both read the layout from here.
+func SideStreams(p core.Plan) (pp, dp bool) {
+	pp = p.OverlapPP && p.Method.Pipelined() && p.PP > 1
+	dp = p.OverlapDP && (p.DP > 1 || p.Sharding == core.DPFS)
+	return pp, dp
 }
 
-// replayScratch pools the replay's working storage — the decoded op
-// sequences, the per-(stage, micro) end-time tables and the per-device
-// cursor state — so pricing a candidate allocates nothing in the steady
-// state. The bound runs once per enumerated candidate on the sweep's hot
-// path (the very spot the PR 3 ROADMAP note predicted), which is why the
-// scratch is pooled like the engine's builder scratch.
+// replayScratch pools the replay's working storage — the per-(stage,
+// micro) end-time tables and the per-device cursor state — so pricing a
+// candidate allocates nothing in the steady state. The replay runs for
+// every candidate the tier-1 floor fails to prune, on the sweep's hot
+// path, which is why the scratch is pooled like the engine's builder
+// scratch.
 type replayScratch struct {
-	ops   []Op  // decoded per-rank sequences, concatenated
-	opOff []int // rank r's ops are ops[opOff[r]:opOff[r+1]]
 	owner []int
 
 	fwdEnd, bwdEnd, inF, inB []float64
@@ -73,7 +73,6 @@ type replayScratch struct {
 	kComp, kPP, kDP          []int
 	reduceDone, reduceSeen   []int
 	restoreSeenC             []int
-	optDone                  []bool
 	restoreIdxC, restoreIdxD []int
 	bwdSeenD                 []bool
 	restoreEnd               [][]float64
@@ -93,40 +92,24 @@ func growScratch[T any](buf *[]T, n int) []T {
 	return *buf
 }
 
-// initReplay decodes every rank's implicit sequence into sc and resets the
-// replay's cursor state, leaving sc ready for runReplay. It is split from
-// the execution so a prefix replay can be checkpointed (the decoded ops and
-// cursor state are the complete recurrence state) and resumed per
-// candidate.
-func initReplay(sc *replayScratch, p core.Plan, nOps func(rank int) int, opAt func(rank, k int) Op) {
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// initReplay resets the cursor state in sc for replaying nDev device
+// programs of p, leaving sc ready for runReplay.
+func initReplay(sc *replayScratch, p core.Plan, nDev int) {
 	nStages := p.NumStages()
 	nm := p.NumMicro
-	nDev := 1
-	if p.Method.Pipelined() {
-		nDev = p.PP
-	}
-	send := p.Method.Pipelined() && p.PP > 1
-	dpStream := p.OverlapDP && (p.DP > 1 || p.Sharding == core.DPFS)
+	_, dpStream := SideStreams(p)
 
-	if send {
+	if p.Method.Pipelined() && p.PP > 1 {
 		owner := growScratch(&sc.owner, nStages)
 		for s := range owner {
 			owner[s] = p.StageDevice(s)
-		}
-	}
-
-	// Decode every rank's implicit sequence once; the three cursors
-	// index the decoded ops instead of re-evaluating the closure per stream.
-	opOff := growScratch(&sc.opOff, nDev+1)
-	opOff[0] = 0
-	for r := 0; r < nDev; r++ {
-		opOff[r+1] = opOff[r] + nOps(r)
-	}
-	ops := growScratch(&sc.ops, opOff[nDev])
-	for r := 0; r < nDev; r++ {
-		base := opOff[r]
-		for k := 0; k < opOff[r+1]-base; k++ {
-			ops[base+k] = opAt(r, k)
 		}
 	}
 
@@ -148,7 +131,6 @@ func initReplay(sc *replayScratch, p core.Plan, nOps func(rank int) int, opAt fu
 	kComp := growScratch(&sc.kComp, nDev) // per-device per-stream cursors
 	kPP := growScratch(&sc.kPP, nDev)
 	kDP := growScratch(&sc.kDP, nDev)
-	optDone := growScratch(&sc.optDone, nDev)
 	maxReduceEnd := growScratch(&sc.maxRed, nDev)
 	reduceDone := growScratch(&sc.reduceDone, nDev) // reduces executed by the dp cursor
 	reduceSeen := growScratch(&sc.reduceSeen, nDev) // reduces passed by the compute cursor
@@ -156,7 +138,6 @@ func initReplay(sc *replayScratch, p core.Plan, nOps func(rank int) int, opAt fu
 		tComp[r], tPP[r], tDP[r], maxReduceEnd[r] = 0, 0, 0, 0
 		kComp[r], kPP[r], kDP[r] = 0, 0, 0
 		reduceDone[r], reduceSeen[r] = 0, 0
-		optDone[r] = false
 	}
 
 	// Restore bookkeeping, needed only when restores ride a separate dp
@@ -189,26 +170,20 @@ func initReplay(sc *replayScratch, p core.Plan, nOps func(rank int) int, opAt fu
 	}
 }
 
-// runReplay advances the replay state in sc as far as the dataflow allows:
-// the three per-device stream cursors execute their ops under the same
-// recurrence the DES evaluates (start = max(stream frontier, latest
-// dependency finish)), which is a pure dataflow fixpoint — the final
-// frontiers are independent of drain order, so a run split across a
-// checkpoint is bit-identical to an uninterrupted one. With withOpt false
-// the trailing optimizer step is withheld (prefix runs stop at the decoded
-// ops; the resumed run issues it). It returns false if the sequences
-// deadlock before completing.
-func runReplay(sc *replayScratch, p core.Plan, c StepCosts, withOpt bool) bool {
+// runReplay replays progs, one program per device, from the state
+// initReplay left in sc: the three per-device stream cursors execute their
+// ops under the same recurrence the DES evaluates (start = max(stream
+// frontier, latest dependency finish)), which is a pure dataflow fixpoint
+// — the final frontiers are independent of the order the cursors drain
+// in. Once every cursor has reached the end of its program it returns the
+// makespan: the latest finish across every stream, since a trailing
+// transfer or restore can outlive the optimizer step. It returns false if
+// the programs deadlock.
+func runReplay(sc *replayScratch, p core.Plan, c StepCosts, progs []Program) (float64, bool) {
 	nStages := p.NumStages()
 	nm := p.NumMicro
-	nDev := 1
-	if p.Method.Pipelined() {
-		nDev = p.PP
-	}
 	send := p.Method.Pipelined() && p.PP > 1
-	// Stream layout, exactly as the engine's builder decides it.
-	ppStream := p.OverlapPP && send
-	dpStream := p.OverlapDP && (p.DP > 1 || p.Sharding == core.DPFS)
+	ppStream, dpStream := SideStreams(p)
 	x := c.Transfer
 	if !ppStream {
 		x += c.PPStall // transfers ride the compute stream, paying the stall
@@ -216,12 +191,10 @@ func runReplay(sc *replayScratch, p core.Plan, c StepCosts, withOpt bool) bool {
 
 	owner := sc.owner
 	cross := func(a, b int) bool { return send && owner[a] != owner[b] }
-	opOff, ops := sc.opOff, sc.ops
 	idx := func(stage, micro int) int { return stage*nm + micro }
 	fwdEnd, bwdEnd, inF, inB := sc.fwdEnd, sc.bwdEnd, sc.inF, sc.inB
 	tComp, tPP, tDP := sc.tComp, sc.tPP, sc.tDP
 	kComp, kPP, kDP := sc.kComp, sc.kPP, sc.kDP
-	optDone := sc.optDone
 	maxReduceEnd := sc.maxRed
 	reduceDone, reduceSeen := sc.reduceDone, sc.reduceSeen
 	restoreIdxC, restoreIdxD := sc.restoreIdxC, sc.restoreIdxD
@@ -241,9 +214,9 @@ func runReplay(sc *replayScratch, p core.Plan, c StepCosts, withOpt bool) bool {
 	// dependencies allow, exactly like the DES drains an in-order stream.
 	compDrain := func(r int) bool {
 		progressed := false
-		base, n := opOff[r], opOff[r+1]-opOff[r]
-		for kComp[r] < n {
-			op := ops[base+kComp[r]]
+		prog := progs[r]
+		for kComp[r] < len(prog) {
+			op := prog[kComp[r]]
 			switch op.Kind {
 			case Forward, Backward:
 				start := tComp[r]
@@ -311,22 +284,20 @@ func runReplay(sc *replayScratch, p core.Plan, c StepCosts, withOpt bool) bool {
 				} else {
 					tComp[r] += c.Reduce
 				}
+			case Optimize:
+				// Depends on every reduction before it, which Check's
+				// single-final-Optimize invariant makes every reduction
+				// of the device.
+				if dpStream && reduceDone[r] < reduceSeen[r] {
+					return progressed
+				}
+				start := tComp[r]
+				if maxReduceEnd[r] > start {
+					start = maxReduceEnd[r]
+				}
+				tComp[r] = start + c.Opt
 			}
 			kComp[r]++
-			progressed = true
-		}
-		if withOpt && !optDone[r] {
-			// Trailing optimizer step: depends on every reduction of the
-			// device (all of which precede it in program order).
-			if dpStream && reduceDone[r] < reduceSeen[r] {
-				return progressed
-			}
-			start := tComp[r]
-			if maxReduceEnd[r] > start {
-				start = maxReduceEnd[r]
-			}
-			tComp[r] = start + c.Opt
-			optDone[r] = true
 			progressed = true
 		}
 		return progressed
@@ -337,9 +308,9 @@ func runReplay(sc *replayScratch, p core.Plan, c StepCosts, withOpt bool) bool {
 	// its producing compute op, depending on it.
 	ppDrain := func(r int) bool {
 		progressed := false
-		base, n := opOff[r], opOff[r+1]-opOff[r]
-		for kPP[r] < n {
-			op := ops[base+kPP[r]]
+		prog := progs[r]
+		for kPP[r] < len(prog) {
+			op := prog[kPP[r]]
 			if op.Kind == Forward && op.Stage < nStages-1 && cross(op.Stage, op.Stage+1) {
 				e := fwdEnd[idx(op.Stage, op.Micro)]
 				if e < 0 {
@@ -377,9 +348,9 @@ func runReplay(sc *replayScratch, p core.Plan, c StepCosts, withOpt bool) bool {
 	// gradients).
 	dpDrain := func(r int) bool {
 		progressed := false
-		base, n := opOff[r], opOff[r+1]-opOff[r]
-		for kDP[r] < n {
-			op := ops[base+kDP[r]]
+		prog := progs[r]
+		for kDP[r] < len(prog) {
+			op := prog[kDP[r]]
 			switch op.Kind {
 			case Forward, Backward:
 				// Creation-order bookkeeping: the op consumes the latest
@@ -445,7 +416,7 @@ func runReplay(sc *replayScratch, p core.Plan, c StepCosts, withOpt bool) bool {
 	for {
 		progressed := false
 		done := true
-		for r := 0; r < nDev; r++ {
+		for r, prog := range progs {
 			if compDrain(r) {
 				progressed = true
 			}
@@ -455,469 +426,64 @@ func runReplay(sc *replayScratch, p core.Plan, c StepCosts, withOpt bool) bool {
 			if dpStream && dpDrain(r) {
 				progressed = true
 			}
-			if n := opOff[r+1] - opOff[r]; kComp[r] < n || (withOpt && !optDone[r]) ||
-				(ppStream && kPP[r] < n) || (dpStream && kDP[r] < n) {
+			if n := len(prog); kComp[r] < n || (ppStream && kPP[r] < n) || (dpStream && kDP[r] < n) {
 				done = false
 			}
 		}
 		if done {
-			return true
+			break
 		}
 		if !progressed {
-			return false
+			return 0, false
 		}
-	}
-}
-
-// replayMakespan reads the completed replay's makespan: the latest finish
-// across every stream — a trailing transfer or restore can outlive the
-// optimizer step.
-func replayMakespan(sc *replayScratch, p core.Plan) float64 {
-	nDev := 1
-	if p.Method.Pipelined() {
-		nDev = p.PP
 	}
 	var makespan float64
-	for r := 0; r < nDev; r++ {
-		if sc.tComp[r] > makespan {
-			makespan = sc.tComp[r]
-		}
-		if sc.tPP[r] > makespan {
-			makespan = sc.tPP[r]
-		}
-		if sc.tDP[r] > makespan {
-			makespan = sc.tDP[r]
+	for r := range progs {
+		for _, t := range [...]float64{tComp[r], tPP[r], tDP[r]} {
+			if t > makespan {
+				makespan = t
+			}
 		}
 	}
-	return makespan
+	return makespan, true
 }
 
-// replay evaluates the exact DES makespan of a plan whose per-rank compute
-// programs are given implicitly: nOps(r) is rank r's op count and opAt(r, k)
-// its k-th op (Forward, Backward, Restore or Reduce; the trailing Optimize
-// is implicit). It models the engine's three per-device streams — compute,
-// pipeline transfer and data-parallel — with one cursor each over the same
-// op sequence: a cursor executes the ops that ride its stream and keeps
-// static creation-order bookkeeping for the ones that don't, mirroring how
-// the engine's builder fixes dependencies at task-creation time. Each
-// sequence is decoded once into pooled scratch (the cursors then share the
-// decoded ops instead of re-evaluating the closure per stream); no
-// Program, Schedule or simulator state is ever built. It returns
-// (0, false) if the sequences deadlock (a malformed closure).
-func replay(p core.Plan, c StepCosts, nOps func(rank int) int, opAt func(rank, k int) Op) (float64, bool) {
-	sc := replayScratchPool.Get().(*replayScratch)
-	defer replayScratchPool.Put(sc)
-	initReplay(sc, p, nOps, opAt)
-	if !runReplay(sc, p, c, true) {
+// replayLB is the tier-2 StepLB hook shared by every generator whose
+// programs the replay prices: the exact multi-stream replay of the plan's
+// checked programs, read from the schedule memo cache. The replay never
+// deadlocks on checked programs; a plan with no checked schedule (one
+// Generate or Check rejects) is priced as not exact, which leaves the
+// caller's floor as the bound.
+func replayLB(p core.Plan, c StepCosts) (float64, bool) {
+	progs, err := programs(p)
+	if err != nil {
 		return 0, false
-	}
-	return replayMakespan(sc, p), true
-}
-
-// --- Prefix-amortized replay: checkpoint, resume and the shared cache. ---
-
-// replayCheckpoint freezes a partially-run replay — the decoded shared
-// prefix plus the cursor/frontier state left by a withOpt=false runReplay —
-// so candidates at one grid point that share the prefix resume from it
-// instead of re-running the whole sequence. The scratch inside is owned by
-// the checkpoint (never pooled) and is immutable after build; resume
-// deep-copies it out into pooled scratch.
-type replayCheckpoint struct {
-	sc replayScratch
-	ok bool
-}
-
-// checkpointReplay prices a shared prefix once: it decodes the implicit
-// sequence into a fresh checkpoint-owned scratch and drains it fully with
-// the trailing optimizer withheld. A deadlocking prefix yields ok=false and
-// callers fall back to the uncached replay.
-func checkpointReplay(p core.Plan, c StepCosts, nOps func(rank int) int, opAt func(rank, k int) Op) *replayCheckpoint {
-	ck := &replayCheckpoint{}
-	initReplay(&ck.sc, p, nOps, opAt)
-	ck.ok = runReplay(&ck.sc, p, c, false)
-	return ck
-}
-
-// copyScratch deep-copies every slice field of src into dst, reusing dst's
-// retained capacity. The inner slices of restoreEnd/consumers are copied
-// element-wise: resumed runs append to them.
-func copyScratch(dst, src *replayScratch) {
-	dst.ops = append(dst.ops[:0], src.ops...)
-	dst.opOff = append(dst.opOff[:0], src.opOff...)
-	dst.owner = append(dst.owner[:0], src.owner...)
-	dst.fwdEnd = append(dst.fwdEnd[:0], src.fwdEnd...)
-	dst.bwdEnd = append(dst.bwdEnd[:0], src.bwdEnd...)
-	dst.inF = append(dst.inF[:0], src.inF...)
-	dst.inB = append(dst.inB[:0], src.inB...)
-	dst.tComp = append(dst.tComp[:0], src.tComp...)
-	dst.tPP = append(dst.tPP[:0], src.tPP...)
-	dst.tDP = append(dst.tDP[:0], src.tDP...)
-	dst.maxRed = append(dst.maxRed[:0], src.maxRed...)
-	dst.kComp = append(dst.kComp[:0], src.kComp...)
-	dst.kPP = append(dst.kPP[:0], src.kPP...)
-	dst.kDP = append(dst.kDP[:0], src.kDP...)
-	dst.reduceDone = append(dst.reduceDone[:0], src.reduceDone...)
-	dst.reduceSeen = append(dst.reduceSeen[:0], src.reduceSeen...)
-	dst.restoreSeenC = append(dst.restoreSeenC[:0], src.restoreSeenC...)
-	dst.optDone = append(dst.optDone[:0], src.optDone...)
-	dst.restoreIdxC = append(dst.restoreIdxC[:0], src.restoreIdxC...)
-	dst.restoreIdxD = append(dst.restoreIdxD[:0], src.restoreIdxD...)
-	dst.bwdSeenD = append(dst.bwdSeenD[:0], src.bwdSeenD...)
-	if cap(dst.restoreEnd) < len(src.restoreEnd) {
-		dst.restoreEnd = make([][]float64, len(src.restoreEnd))
-	}
-	dst.restoreEnd = dst.restoreEnd[:len(src.restoreEnd)]
-	for i := range src.restoreEnd {
-		dst.restoreEnd[i] = append(dst.restoreEnd[i][:0], src.restoreEnd[i]...)
-	}
-	if cap(dst.consumers) < len(src.consumers) {
-		dst.consumers = make([][]int, len(src.consumers))
-	}
-	dst.consumers = dst.consumers[:len(src.consumers)]
-	for i := range src.consumers {
-		dst.consumers[i] = append(dst.consumers[i][:0], src.consumers[i]...)
-	}
-}
-
-// spliceTail appends per-rank tail ops to sc's decoded sequences, rebuilding
-// the concatenated layout. The stream cursors are rank-relative (offsets are
-// re-derived from opOff on every drain), so they stay valid across the
-// splice. growScratch does not preserve contents across a reallocation, so
-// the old layout is snapshotted first; the temporaries are amortized over
-// the whole resumed replay.
-func spliceTail(sc *replayScratch, nDev int, tailFor func(rank int) []Op) {
-	oldOps := append([]Op(nil), sc.ops...)
-	oldOff := append([]int(nil), sc.opOff...)
-	total := len(oldOps)
-	for r := 0; r < nDev; r++ {
-		total += len(tailFor(r))
-	}
-	ops := growScratch(&sc.ops, total)
-	opOff := sc.opOff // same backing: len(oldOff) == nDev+1 already
-	w := 0
-	for r := 0; r < nDev; r++ {
-		opOff[r] = w
-		w += copy(ops[w:], oldOps[oldOff[r]:oldOff[r+1]])
-		w += copy(ops[w:], tailFor(r))
-	}
-	opOff[nDev] = w
-}
-
-// resumeReplay completes a checkpointed prefix for one candidate: it copies
-// the frozen state into pooled scratch, splices the candidate's per-rank
-// tail ops (tailFor may be nil for an empty tail), and drains the remainder
-// with the trailing optimizer. The dataflow recurrence makes the result
-// bit-identical to an uninterrupted replay of prefix+tail.
-func resumeReplay(ck *replayCheckpoint, p core.Plan, c StepCosts, tailFor func(rank int) []Op) (float64, bool) {
-	if ck == nil || !ck.ok {
-		return 0, false
-	}
-	nDev := 1
-	if p.Method.Pipelined() {
-		nDev = p.PP
 	}
 	sc := replayScratchPool.Get().(*replayScratch)
 	defer replayScratchPool.Put(sc)
-	copyScratch(sc, &ck.sc)
-	if tailFor != nil {
-		spliceTail(sc, nDev, tailFor)
-	}
-	if !runReplay(sc, p, c, true) {
-		return 0, false
-	}
-	return replayMakespan(sc, p), true
+	initReplay(sc, p, len(progs))
+	return runReplay(sc, p, c, progs)
 }
 
-// Prefix classes, keyed alongside the normalized plan so distinct sequence
-// shapes never share a checkpoint.
-const (
-	prefixClassGpipe uint8 = iota + 1
-	prefixClassHybridSeq
-)
-
-// replayCacheKey identifies one shared prefix: the class, the candidate
-// plan with the fields the prefix does not depend on normalized away, and
-// the step costs with the tail-only components zeroed. Plan and StepCosts
-// are comparable value structs, so the key is a valid map key.
-type replayCacheKey struct {
-	class uint8
-	plan  core.Plan
-	costs StepCosts
-}
-
-type replayCacheEntry struct {
-	once sync.Once
-	ck   *replayCheckpoint
-}
-
-// ReplayCache shares prefix checkpoints between the candidates of one
-// search group. It is safe for concurrent use: each checkpoint is built
-// exactly once (sync.Once per entry) and is immutable afterwards. The
-// search creates one cache per evalGroups call and passes it to the
-// generators' StepLBCached hooks; a nil cache degrades every hook to its
-// uncached StepLB behavior.
-type ReplayCache struct {
-	mu sync.Mutex
-	m  map[replayCacheKey]*replayCacheEntry
-}
+// ReplayCache is an empty placeholder kept for callers of LowerBoundCached
+// (the benchmark harness under bfppbench/): the replay reads the programs
+// the schedule memo cache already holds, so candidates have nothing to
+// share, and no generator registers StepLBCached.
+type ReplayCache struct{}
 
 // NewReplayCache returns an empty cache.
-func NewReplayCache() *ReplayCache {
-	return &ReplayCache{m: map[replayCacheKey]*replayCacheEntry{}}
-}
+func NewReplayCache() *ReplayCache { return &ReplayCache{} }
 
-// checkpoint returns the cached checkpoint for key, building it with build
-// on first use.
-func (rc *ReplayCache) checkpoint(key replayCacheKey, build func() *replayCheckpoint) *replayCheckpoint {
-	rc.mu.Lock()
-	e, ok := rc.m[key]
-	if !ok {
-		e = &replayCacheEntry{}
-		rc.m[key] = e
-	}
-	rc.mu.Unlock()
-	e.once.Do(func() { e.ck = build() })
-	return e.ck
-}
-
-// --- Implicit program sequences, mirroring the generators op for op. ---
-
-func btoi(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// bfOps is the breadth-first program of rank r: per forward loop an
-// optional DP-FS restore then all micro-batches, then the backward loops in
-// reverse, each with an optional restore, the micro-batches and the
-// per-stage reduction.
-func bfOps(p core.Plan) (func(int) int, func(int, int) Op) {
-	nm, loops := p.NumMicro, p.Loops
-	fs := p.Sharding == core.DPFS
-	red := p.DP > 1
-	fwdBlock := nm + btoi(fs)
-	bwdBlock := nm + btoi(fs) + btoi(red)
-	n := func(int) int { return loops * (fwdBlock + bwdBlock) }
-	at := func(r, k int) Op {
-		if k < loops*fwdBlock {
-			l, w := k/fwdBlock, k%fwdBlock
-			s := l*p.PP + r
-			if fs {
-				if w == 0 {
-					return Op{Restore, s, -1}
-				}
-				w--
-			}
-			return Op{Forward, s, w}
-		}
-		k -= loops * fwdBlock
-		l, w := loops-1-k/bwdBlock, k%bwdBlock
-		s := l*p.PP + r
-		if fs {
-			if w == 0 {
-				return Op{Restore, s, -1}
-			}
-			w--
-		}
-		if w < nm {
-			return Op{Backward, s, w}
-		}
-		return Op{Reduce, s, -1}
-	}
-	return n, at
-}
-
-// sequencedOps is the genSequenced program (depth-first for q = PP, hybrid
-// otherwise) of rank r: warmup forward unit steps, forward/backward
-// alternation, backward drain, then the bunched per-stage reductions in
-// reverse stage order.
-func sequencedOps(p core.Plan, q int) (func(int) int, func(int, int) Op) {
-	total := p.NumMicro * p.Loops
-	red := btoi(p.DP > 1) * p.Loops
-	warmupOf := func(r int) int {
-		w := 2*(p.PP-r-1) + (p.Loops-1)*q
-		if w > total {
-			w = total
-		}
-		return w
-	}
-	n := func(int) int { return 2*total + red }
-	at := func(r, k int) Op {
-		if k >= 2*total { // bunched reduces, reverse stage order
-			j := k - 2*total
-			l := p.Loops - 1 - j
-			return Op{Reduce, l*p.PP + r, -1}
-		}
-		w := warmupOf(r)
-		var backward bool
-		var step int
-		switch {
-		case k < w:
-			step = k
-		case k < w+2*(total-w):
-			i := k - w
-			if i%2 == 0 {
-				step = w + i/2
-			} else {
-				backward, step = true, i/2
-			}
-		default:
-			backward, step = true, k-total
-		}
-		c, mb := seqStep(p, q, step, backward)
-		if backward {
-			return Op{Backward, c*p.PP + r, mb}
-		}
-		return Op{Forward, c*p.PP + r, mb}
-	}
-	return n, at
-}
-
-// oneFOneBOps is the non-looped 1F1B program of rank r (emitOneFOneB
-// followed by the single bunched reduction). The weight-stashing WS-1F1B
-// schedule shares it: stashing relaxes weight-version dependencies, not
-// the batch's activation dependencies, so its program is identical.
-func oneFOneBOps(p core.Plan) (func(int) int, func(int, int) Op) {
-	nm := p.NumMicro
-	red := btoi(p.DP > 1)
-	n := func(int) int { return 2*nm + red }
-	at := func(r, k int) Op {
-		if k >= 2*nm {
-			return Op{Reduce, r, -1}
-		}
-		w := p.PP - r - 1
-		if w > nm {
-			w = nm
-		}
-		switch {
-		case k < w:
-			return Op{Forward, r, k}
-		case k < w+2*(nm-w):
-			i := k - w
-			if i%2 == 0 {
-				return Op{Forward, r, w + i/2}
-			}
-			return Op{Backward, r, i / 2}
-		default:
-			return Op{Backward, r, k - nm}
-		}
-	}
-	return n, at
-}
-
-// gpipeOps is the GPipe program of rank r: all forwards, all backwards,
-// one bunched reduction.
-func gpipeOps(p core.Plan) (func(int) int, func(int, int) Op) {
-	nm := p.NumMicro
-	red := btoi(p.DP > 1)
-	n := func(int) int { return 2*nm + red }
-	at := func(r, k int) Op {
-		switch {
-		case k < nm:
-			return Op{Forward, r, k}
-		case k < 2*nm:
-			return Op{Backward, r, k - nm}
-		default:
-			return Op{Reduce, r, -1}
-		}
-	}
-	return n, at
-}
-
-// noPipelineBFOps is the Appendix C breadth-first accumulation on the
-// single device: per stage an optional restore then all micro-batches
-// forward; the reverse for the backward pass with per-stage reductions.
-func noPipelineBFOps(p core.Plan) (func(int) int, func(int, int) Op) {
-	nm, stages := p.NumMicro, p.Loops
-	fs := p.Sharding == core.DPFS
-	red := p.DP > 1
-	fwdBlock := nm + btoi(fs)
-	bwdBlock := nm + btoi(fs) + btoi(red)
-	n := func(int) int { return stages * (fwdBlock + bwdBlock) }
-	at := func(_, k int) Op {
-		if k < stages*fwdBlock {
-			s, w := k/fwdBlock, k%fwdBlock
-			if fs {
-				if w == 0 {
-					return Op{Restore, s, -1}
-				}
-				w--
-			}
-			return Op{Forward, s, w}
-		}
-		k -= stages * fwdBlock
-		s, w := stages-1-k/bwdBlock, k%bwdBlock
-		if fs {
-			if w == 0 {
-				return Op{Restore, s, -1}
-			}
-			w--
-		}
-		if w < nm {
-			return Op{Backward, s, w}
-		}
-		return Op{Reduce, s, -1}
-	}
-	return n, at
-}
-
-// noPipelineDFOps is conventional gradient accumulation on the single
-// device: each micro-batch runs its full forward and backward (with
-// per-micro-batch restores and reductions under DP-FS), then the bunched
-// per-stage reductions when not fully sharded.
-func noPipelineDFOps(p core.Plan) (func(int) int, func(int, int) Op) {
-	nm, stages := p.NumMicro, p.Loops
-	fs := p.Sharding == core.DPFS
-	red := p.DP > 1
-	fwdBlock := 1 + btoi(fs)                   // per stage per micro
-	bwdBlock := 1 + btoi(fs) + btoi(fs && red) // per stage per micro
-	perMicro := stages * (fwdBlock + bwdBlock)
-	tail := 0
-	if !fs && red {
-		tail = stages
-	}
-	n := func(int) int { return nm*perMicro + tail }
-	at := func(_, k int) Op {
-		if k >= nm*perMicro { // trailing bunched reduces, reverse order
-			return Op{Reduce, stages - 1 - (k - nm*perMicro), -1}
-		}
-		mb, w := k/perMicro, k%perMicro
-		if w < stages*fwdBlock {
-			s, i := w/fwdBlock, w%fwdBlock
-			if fs && i == 0 {
-				return Op{Restore, s, mb}
-			}
-			return Op{Forward, s, mb}
-		}
-		w -= stages * fwdBlock
-		s, i := stages-1-w/bwdBlock, w%bwdBlock
-		if fs {
-			switch i {
-			case 0:
-				return Op{Restore, s, mb}
-			case 1:
-				return Op{Backward, s, mb}
-			default:
-				return Op{Reduce, s, mb}
-			}
-		}
-		return Op{Backward, s, mb}
-	}
-	return n, at
-}
-
-// --- StepLB hooks. ---
+// --- Tier-1 floors. ---
 
 // forwardFirstFloor is the admissible lower bound of the overlapped
 // forward-first wrap schedules (breadth-first, GPipe): the warm-up chain to
 // the last device, that device's full compute (its program runs every
 // forward before any backward), the backward drain chain back to device 0,
-// the exposed tail reduction and the optimizer step. Plain arithmetic can
-// round above the simulator's chained additions by a few ulps, so callers
-// shave the result with BoundSlack. Since the multi-stream replay it is a
-// deadlock-only safety net, never the primary bound.
+// the exposed tail reduction and the optimizer step. It is the tier-1
+// StepFloor of both; the replay prices them exactly at tier 2. Plain
+// arithmetic can round above the simulator's chained additions by a few
+// ulps, so the result is shaved with BoundSlack.
 func forwardFirstFloor(p core.Plan, c StepCosts) float64 {
 	nm, loops := float64(p.NumMicro), float64(p.Loops)
 	compute := nm * loops * (c.Fwd + c.Bwd)
@@ -939,8 +505,9 @@ func forwardFirstFloor(p core.Plan, c StepCosts) float64 {
 }
 
 // vScheduleFloor is the list-schedule-aware warmup/drain floor of the
-// vee-placed V-schedule, whose greedy list-scheduled programs have no
-// implicit op sequence to replay. It exploits two structural facts the
+// vee-placed V-schedule. The V-schedule registers no tier-2 hook, so this
+// floor, maximized with the generic one, is its final bound and the search
+// simulates its candidates. It exploits two structural facts the
 // generic placement floor cannot see: (a) no backward anywhere may start
 // before some micro-batch's complete forward chain has reached the last
 // stage, after which the device hosting that stage — which, in the vee
@@ -1017,102 +584,4 @@ func vScheduleFloor(p core.Plan, c StepCosts) float64 {
 // load-bearing for admissibility, so there is exactly one copy.
 func BoundSlack(v float64, n int) float64 {
 	return v * (1 - float64(n+16)*1e-15)
-}
-
-// exactOrFloor wraps an implicit program in the shared StepLB shape: the
-// exact multi-stream replay (which covers overlapped and non-overlapped
-// implementations alike), with a fallback floor against malformed
-// sequences.
-func exactOrFloor(p core.Plan, c StepCosts,
-	seq func(core.Plan) (func(int) int, func(int, int) Op),
-	floor func(core.Plan, StepCosts) float64) (float64, bool) {
-	n, at := seq(p)
-	if v, ok := replay(p, c, n, at); ok {
-		return v, true
-	}
-	if floor != nil {
-		return floor(p, c), false
-	}
-	return 0, false
-}
-
-// gpipeCachedLB is gpipeOps' StepLBCached hook. GPipe candidates at one
-// grid point differing only in sharding (DP0 vs DP-PS; DP-FS is excluded)
-// share their entire compute sequence — the 2*N_mb forwards-then-backwards
-// ops — and differ only in the tail reduction's cost, so the hook
-// checkpoints the compute prefix once per grid point and resumes it with
-// the per-candidate reduce tail. The cache key normalizes the sharding
-// away and zeroes the tail-only costs (Reduce/Restore/Opt), which the
-// prefix never charges; the stream layout is sharding-independent here
-// (the dp stream exists iff OverlapDP and DP > 1, and gpipe has no
-// restores), so the frozen frontiers are bit-identical to an uninterrupted
-// replay's state at the same point.
-func gpipeCachedLB(p core.Plan, c StepCosts, rc *ReplayCache) (float64, bool) {
-	if rc == nil {
-		return exactOrFloor(p, c, gpipeOps, forwardFirstFloor)
-	}
-	kp := p
-	kp.Sharding = core.DP0
-	kc := c
-	kc.Reduce, kc.Restore, kc.Opt = 0, 0, 0
-	nm := p.NumMicro
-	nDev := 1
-	if p.Method.Pipelined() {
-		nDev = p.PP
-	}
-	ck := rc.checkpoint(replayCacheKey{prefixClassGpipe, kp, kc}, func() *replayCheckpoint {
-		return checkpointReplay(kp, kc,
-			func(int) int { return 2 * nm },
-			func(r, k int) Op {
-				if k < nm {
-					return Op{Forward, r, k}
-				}
-				return Op{Backward, r, k - nm}
-			})
-	})
-	var tailFor func(int) []Op
-	if p.DP > 1 {
-		tails := make([]Op, nDev)
-		for r := range tails {
-			tails[r] = Op{Reduce, r, -1}
-		}
-		tailFor = func(r int) []Op { return tails[r : r+1] }
-	}
-	if v, ok := resumeReplay(ck, p, c, tailFor); ok {
-		return v, true
-	}
-	return forwardFirstFloor(p, c), false
-}
-
-// hybridSeq wraps sequencedOps in the exactOrFloor sequence shape with the
-// plan's own sequence length.
-func hybridSeq(p core.Plan) (func(int) int, func(int, int) Op) {
-	return sequencedOps(p, p.SequenceLen())
-}
-
-// hybridCachedLB is the hybrid schedule's StepLBCached hook. At Loops == 1
-// the sequenced program is invariant in the sequence length q: the warmup
-// 2*(PP-r-1) + (Loops-1)*q loses its q term, every unit step degenerates
-// to (chunk 0, micro k), and the single bunched reduce is q-independent —
-// so the grid point's whole candidate set (one plan per SequenceOption)
-// shares one full-sequence checkpoint, resumed per candidate with only the
-// trailing optimizer left to issue. The key normalizes Sequence away and
-// zeroes the optimizer cost (the only op the prefix withholds). Looped
-// plans genuinely differ per q and fall back to the uncached replay.
-func hybridCachedLB(p core.Plan, c StepCosts, rc *ReplayCache) (float64, bool) {
-	if rc == nil || p.Loops != 1 {
-		return exactOrFloor(p, c, hybridSeq, nil)
-	}
-	kp := p
-	kp.Sequence = 0
-	kc := c
-	kc.Opt = 0
-	ck := rc.checkpoint(replayCacheKey{prefixClassHybridSeq, kp, kc}, func() *replayCheckpoint {
-		n, at := sequencedOps(kp, kp.SequenceLen())
-		return checkpointReplay(kp, kc, n, at)
-	})
-	if v, ok := resumeReplay(ck, p, c, nil); ok {
-		return v, true
-	}
-	return exactOrFloor(p, c, hybridSeq, nil)
 }

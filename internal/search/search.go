@@ -32,9 +32,9 @@
 // winner's shape re-matched in this group), so early candidates face a
 // real bound instead of pricing against nothing. Jobs are ordered
 // cheapest-bound-first, and a candidate reaches tier 2 — the O(ops) exact
-// multi-stream schedule replay (analytic.LowerBoundCached, bit-identical
-// to the DES makespan for every generator with an implicit op sequence;
-// prefix-amortized across candidates sharing a checkpoint) — only when
+// multi-stream schedule replay (analytic.LowerBound, which replays the
+// candidate's prechecked device programs bit-identically to the DES
+// makespan for every generator registering the replay hook) — only when
 // its floor fails to prune against the incumbent. Exact tier-2 prices
 // feed the incumbent immediately (the replay IS the simulated time), so
 // siblings prune before the simulation even runs.
@@ -672,13 +672,6 @@ func evalGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 	if opt.Params != nil {
 		par = *opt.Params
 	}
-	var rc *schedule.ReplayCache
-	if prune {
-		// One prefix-amortization cache for the whole call: candidates at
-		// one grid point share replay checkpoints across the seed pass and
-		// the tier-2 pricings below.
-		rc = schedule.NewReplayCache()
-	}
 	if prune && len(jobs) > 0 {
 		// Precheck and floor-price every candidate on the same worker pool
 		// the simulations use (each entry is independent, so the pass is
@@ -710,7 +703,7 @@ func evalGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		if err := seedGroups(ctx, c, m, groups, keys, jobs, bounds, lbs, incs, rc, &par, famStats, opt.Stats); err != nil {
+		if err := seedGroups(ctx, c, m, groups, keys, jobs, bounds, lbs, incs, &par, famStats, opt.Stats); err != nil {
 			return nil, nil, err
 		}
 		progress(true) // the seed pass resolved its share of the candidates
@@ -771,7 +764,7 @@ func evalGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 			// incumbent; pay the exact O(ops) replay once. Both tiers are
 			// admissible, so tightening the bound here can only turn "maybe"
 			// into "provably not the winner" — never the other way.
-			lb, exact := analytic.LowerBoundCached(c, m, j.plan, &par, rc)
+			lb, exact := analytic.LowerBound(c, m, j.plan, &par)
 			if opt.Stats != nil {
 				opt.Stats.ReplayPriced.Add(1)
 				if fs := famStats[j.group]; fs != nil {
@@ -927,7 +920,7 @@ func matchShape(a, b core.Plan) bool {
 // Dominated counter stays deterministic at any worker count. Groups with
 // no replayable candidate (the list-scheduled V-schedule family) get no
 // seed and start against an empty incumbent.
-func seedGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [][]core.Plan, keys []string, jobs []job, bounds []int, lbs []float64, incs []incumbent, rc *schedule.ReplayCache, par *engine.Params, famStats []*FamilyStats, stats *Stats) error {
+func seedGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [][]core.Plan, keys []string, jobs []job, bounds []int, lbs []float64, incs []incumbent, par *engine.Params, famStats []*FamilyStats, stats *Stats) error {
 	// Family key ascending, batch descending: the largest batch resolves
 	// first, so its winner shape — typically stable across adjacent grid
 	// points — seeds the smaller batches of the same family.
@@ -976,14 +969,14 @@ func seedGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 				}
 			}
 		}
-		// Price the seeds exactly; a seed whose replay falls back to a
-		// floor (deadlocked sequence) is discarded.
+		// Price the seeds exactly; a seed priced only by its floor (no
+		// checked schedule) is discarded.
 		price := func(i int) (float64, bool) {
 			if i < 0 {
 				return 0, false
 			}
 			j := &seg[i]
-			lb, exact := analytic.LowerBoundCached(c, m, j.plan, par, rc)
+			lb, exact := analytic.LowerBound(c, m, j.plan, par)
 			if stats != nil {
 				stats.ReplayPriced.Add(1)
 				if fs := famStats[gi]; fs != nil {
