@@ -25,7 +25,6 @@ import (
 	"bfpp/internal/collective"
 	"bfpp/internal/core"
 	"bfpp/internal/cost"
-	"bfpp/internal/des"
 	"bfpp/internal/engine"
 	"bfpp/internal/fault"
 	"bfpp/internal/figures"
@@ -143,7 +142,7 @@ func BenchmarkScheduleGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulateBatch measures one discrete-event simulation of a
+// BenchmarkSimulateBatch measures one simulation (the schedule replay) of a
 // realistic 52B configuration.
 func BenchmarkSimulateBatch(b *testing.B) {
 	c := hw.PaperCluster()
@@ -190,14 +189,13 @@ func benchOptimize(b *testing.B, opt search.Options) {
 }
 
 // BenchmarkSearchOptimizeSerial is the optimized path pinned to 1 worker
-// (caches, DES fast path and branch-and-bound on): it isolates the
-// single-core wins.
+// (caches and branch-and-bound on): it isolates the single-core wins.
 func BenchmarkSearchOptimizeSerial(b *testing.B) {
 	benchOptimize(b, search.Options{Workers: 1})
 }
 
 // BenchmarkSearchOptimizeParallel is the default configuration: GOMAXPROCS
-// workers plus caches, the DES fast path and the branch-and-bound.
+// workers plus caches and the branch-and-bound.
 func BenchmarkSearchOptimizeParallel(b *testing.B) {
 	benchOptimize(b, search.Options{})
 }
@@ -227,7 +225,7 @@ func benchSweepCtx(b *testing.B, ctx context.Context, opt search.Options) {
 }
 
 // BenchmarkSweepFigure7Parallel measures the same sweep on the worker pool
-// with caches and the DES fast path but the branch-and-bound disabled:
+// with caches but the branch-and-bound disabled:
 // every candidate is simulated, which is the denominator of the pruning
 // speedup.
 func BenchmarkSweepFigure7Parallel(b *testing.B) {
@@ -235,7 +233,7 @@ func BenchmarkSweepFigure7Parallel(b *testing.B) {
 }
 
 // BenchmarkSweepFigure7Pruned is the default evaluator: worker pool,
-// caches, DES fast path, and the analytic branch-and-bound (cheapest-bound
+// caches, and the analytic branch-and-bound (cheapest-bound
 // ordering, incumbent skipping, dominance pre-pass). Results are
 // byte-identical to the unpruned sweep; the prune% metric reports the
 // fraction of candidates that never reached the simulator.
@@ -401,64 +399,6 @@ func BenchmarkServiceSearchCached(b *testing.B) {
 		}
 		if !resp.Cached {
 			b.Fatal("expected a cache hit")
-		}
-	}
-}
-
-// benchDESSim builds a breadth-first-shaped synthetic task graph: nDev
-// compute streams plus nDev transfer streams, loops×micros compute tasks
-// per device with stage-boundary transfer wiring, roughly matching the
-// graphs the engine submits. Run/RunReference leave the task graph
-// untouched (Run only reuses the Sim's internal scratch buffers), so one
-// graph serves all sequential iterations; a Sim must not be shared across
-// goroutines.
-func benchDESSim() *des.Sim {
-	const nDev, loops, micros = 8, 8, 16
-	s := des.New()
-	comp := make([]des.StreamID, nDev)
-	xfer := make([]des.StreamID, nDev)
-	for d := 0; d < nDev; d++ {
-		comp[d] = s.Stream("compute")
-		xfer[d] = s.Stream("xfer")
-	}
-	prev := make(map[[2]int]des.TaskID) // (stage, micro) -> producing transfer
-	for l := 0; l < loops; l++ {
-		for d := 0; d < nDev; d++ {
-			for mb := 0; mb < micros; mb++ {
-				var deps []des.TaskID
-				if t, ok := prev[[2]int{l*nDev + d, mb}]; ok {
-					deps = append(deps, t)
-				}
-				ct := s.AddTagged(comp[d], 1, des.ClassFwd, l*nDev+d, mb, deps...)
-				if l < loops-1 || d < nDev-1 {
-					st := s.AddTagged(xfer[d], 0.5, des.ClassSend, l*nDev+d, mb, ct)
-					prev[[2]int{l*nDev + d + 1, mb}] = st
-				}
-			}
-		}
-	}
-	return s
-}
-
-// BenchmarkDESRunFast measures the indexed DES execution loop.
-func BenchmarkDESRunFast(b *testing.B) {
-	s := benchDESSim()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDESRunReference measures the original rescanning loop on the
-// identical graph.
-func BenchmarkDESRunReference(b *testing.B) {
-	s := benchDESSim()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.RunReference(); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -34,9 +34,9 @@
 // and byte-identical at any worker count: winner selection is tie-stable
 // in enumeration order. Schedule generation and memory estimates are
 // memoized across simulations (plans differing only in TP, micro-batch
-// size or DP width share device programs), and the discrete-event
-// simulator runs an indexed fast path; scripts/bench.sh tracks the
-// resulting speedups in BENCH_search.json.
+// size or DP width share device programs), and one replay of the checked
+// programs both prices candidates and simulates them; scripts/bench.sh
+// tracks the resulting speedups in BENCH_search.json.
 //
 // # Job service
 //
@@ -144,8 +144,8 @@ var (
 	ClusterNames           = hw.Names
 )
 
-// Simulate runs one training batch of the configuration on the
-// discrete-event simulator and returns throughput, utilization, memory and
+// Simulate runs one training batch of the configuration on the simulator
+// (the schedule replay) and returns throughput, utilization, memory and
 // overhead breakdowns.
 var Simulate = engine.Simulate
 

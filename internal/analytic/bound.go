@@ -9,11 +9,11 @@ package analytic
 // non-overlapped implementations) and the generator's Traits.StepFloor
 // hook — priced for every enumerated candidate. LowerBound is tier 2: the
 // generator's Traits.StepLB hook, which for every generator registering
-// the shared replay hook replays the plan's checked device programs on
-// the engine's per-device compute/pp/dp stream model exactly
-// (bit-identical to the DES makespan, overlapped implementations
-// included), paid only when the floor fails to prune; a generator with no
-// tier-2 hook (the V-schedule) gets its floor as the final bound. internal/search uses the bounds to order
+// the shared replay hook runs the simulator's own replay of the plan's
+// checked device programs (so it equals the simulated batch time bit for
+// bit, overlapped implementations included), paid only when the floor
+// fails to prune; a generator with no tier-2 hook (the V-schedule) gets
+// its floor as the final bound. internal/search uses the bounds to order
 // candidates cheapest-first and to skip simulations that provably cannot
 // beat the incumbent.
 

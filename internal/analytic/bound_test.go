@@ -74,11 +74,15 @@ func randomBoundPlan(rng *rand.Rand, m core.Method, traits schedule.Traits) (cor
 
 // TestLowerBoundNeverExceedsSimulation is the admissibility property of
 // the branch-and-bound evaluator: for randomized plans of every registered
-// generator, the analytic lower bound never exceeds the DES-simulated
-// batch time, and a bound reported exact matches it bit for bit.
-// Exactness is required of every generator that registers a tier-2 hook
-// (StepLB or StepLBCached): the multi-stream replay of its checked
-// programs must cover it, overlapped implementations included.
+// generator, the analytic lower bound never exceeds the simulated batch
+// time, and a bound reported exact matches it bit for bit. Exactness is
+// required of every generator that registers a tier-2 hook (StepLB or
+// StepLBCached). The simulator runs the same replay as that hook, so for
+// those generators the exactness half compares the replay with itself; the
+// replay's independent check is internal/engine's
+// TestReplayMatchesOracleRandomized, which compares it with a task graph
+// run on des.Sim.RunReference. The admissibility half still checks every
+// floor, the V-schedule's final bound included, against the simulation.
 func TestLowerBoundNeverExceedsSimulation(t *testing.T) {
 	c := hw.PaperCluster()
 	m := boundModel()
@@ -194,8 +198,8 @@ func TestLowerBoundCachedMatchesUncached(t *testing.T) {
 
 // TestExactBoundForNonOverlapped pins the exactness guarantee the search's
 // dominance pruning relies on: for non-overlapped breadth-first and
-// depth-first plans the bound must be reported exact and equal the DES
-// makespan exactly (not merely below it).
+// depth-first plans the bound must be reported exact and equal the
+// simulated batch time exactly (not merely below it).
 func TestExactBoundForNonOverlapped(t *testing.T) {
 	c := hw.PaperCluster()
 	m := boundModel()
@@ -235,8 +239,8 @@ func TestExactBoundForNonOverlapped(t *testing.T) {
 // claim: for overlapped implementations — the paper's own overlapped
 // breadth-first runtime, WS-1F1B, and the other replay-priced generators
 // with separate pp/dp streams — the bound is reported exact and equals
-// the DES makespan bit for bit, so the search can dominance-prune these
-// families without simulating.
+// the simulated batch time bit for bit, so the search can dominance-prune
+// these families without simulating.
 func TestExactBoundForOverlapped(t *testing.T) {
 	c := hw.PaperCluster()
 	m := boundModel()

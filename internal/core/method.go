@@ -123,8 +123,9 @@ type MethodInfo struct {
 
 // The method table is published copy-on-write behind an atomic pointer:
 // registrations happen at init time only, while the trait accessors
-// (Pipelined, StageDevice, ...) sit on per-op hot paths of the engine
-// builder, so reads must be a plain array index with no lock.
+// (Pipelined, StageDevice, ...) sit on per-op hot paths of schedule
+// generation and the replay, so reads must be a plain array index with no
+// lock.
 var (
 	methodTable atomic.Pointer[[]*MethodInfo]
 	methodRegMu sync.Mutex // serializes registrations

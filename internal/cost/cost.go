@@ -2,7 +2,7 @@
 // engine.DeriveCosts: a registry of named models, each producing the
 // schedule.StepCosts tuple for one (cluster, model, plan, params) point.
 //
-// The single-producer invariant the search relies on lives here: the DES
+// The single-producer invariant the search relies on lives here: the
 // simulator and every analytic bound (the tier-1 StepFloor, the tier-2
 // exact multi-stream replay) price plans with the same Derive call, so
 // whatever model is selected, the bounds stay admissible — and exact where

@@ -1,19 +1,21 @@
-// Package des implements a small deterministic discrete-event simulator
-// built around in-order execution streams, mirroring the CUDA stream model
-// the paper's implementation targets (Appendix D): each device exposes a
-// compute stream and one or more communication streams, every operation is
-// enqueued on exactly one stream, streams execute their operations strictly
-// in FIFO order, and cross-stream ordering is expressed with dependency
-// edges (the analogue of CUDA events).
+// Package des holds the execution-timeline types of the simulator and a
+// small deterministic discrete-event executor built around in-order
+// execution streams, mirroring the CUDA stream model the paper's
+// implementation targets (Appendix D): each device exposes a compute
+// stream and one or more communication streams, every operation is
+// enqueued on exactly one stream, streams execute their operations
+// strictly in FIFO order, and cross-stream ordering is expressed with
+// dependency edges (the analogue of CUDA events).
 //
 // Overlap between computation and communication is therefore not asserted
 // anywhere: it emerges (or fails to emerge) from the schedule structure,
 // which is exactly the property the paper's breadth-first schedule exploits.
 //
-// Run executes the task graph with an indexed worklist (O(tasks + edges));
-// RunReference keeps the original stream-rescanning loop as an executable
-// specification. Both produce bit-identical timelines, which the test suite
-// asserts on randomized graphs.
+// The engine simulates plans with the schedule replay
+// (internal/schedule), which fills a Timeline through NewIndexedTimeline.
+// Sim and its RunReference loop share no code with that replay and serve
+// as its test oracle; the trace renderers, the figures and the service
+// read the Timeline either way.
 package des
 
 import (
@@ -103,8 +105,8 @@ type Timeline struct {
 	StreamNames []string
 
 	// offsets[s]:offsets[s+1] bounds stream s's spans inside Spans when the
-	// timeline was produced by the indexed fast path; nil timelines built by
-	// hand or by RunReference fall back to full scans.
+	// timeline was built by NewIndexedTimeline; timelines built by hand or
+	// by RunReference have none and fall back to full scans.
 	offsets []int
 }
 
@@ -170,109 +172,33 @@ func (t *Timeline) StreamSpans(s StreamID) []Span {
 	return out
 }
 
-// Sim accumulates streams and tasks and runs them to completion. A Sim is
-// not safe for concurrent use; concurrent simulations each use their own
-// (the engine pools and Resets them).
+// NewIndexedTimeline returns the timeline of spans laid out stream by
+// stream, each stream's spans in execution order, with offsets[s] and
+// offsets[s+1] bounding stream s's spans: the per-stream accessors then
+// read one contiguous slice instead of scanning every span. Spans and
+// offsets are retained, not copied.
+func NewIndexedTimeline(spans []Span, offsets []int, makespan float64) *Timeline {
+	return &Timeline{Spans: spans, Makespan: makespan, offsets: offsets}
+}
+
+// Sim accumulates streams and tasks and runs them to completion with
+// RunReference. A Sim is not safe for concurrent use.
 type Sim struct {
 	streams []string
 	queues  [][]TaskID
 	tasks   []Task
-
-	// depArena backs the Deps slices of tasks created by Add/AddTagged, so
-	// enqueueing a task with dependencies costs no per-task allocation.
-	depArena []TaskID
-	// nDeps counts all dependency edges (arena-backed and AddDep-appended),
-	// sizing the reverse adjacency built by Run.
-	nDeps int
-
-	// scratch holds Run's reusable working buffers. Only buffers that do
-	// not escape into the returned Timeline live here.
-	scratch runScratch
-}
-
-// grow resizes a reusable buffer to length n, reallocating only when the
-// retained capacity is too small. Contents are unspecified; callers clear
-// what they need.
-func grow[T any](buf *[]T, n int) []T {
-	if cap(*buf) < n {
-		*buf = make([]T, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-// runScratch is Run's reusable working state.
-type runScratch struct {
-	indeg      []int32
-	revOff     []int32
-	rev        []TaskID
-	depFree    []float64
-	head       []int
-	streamFree []float64
-	stack      []int
-	inStack    []bool
 }
 
 // New returns an empty simulator.
 func New() *Sim { return &Sim{} }
 
-// Reset clears all streams and tasks while retaining allocated capacity,
-// so one Sim can be reused across simulations.
-func (s *Sim) Reset() {
-	s.streams = s.streams[:0]
-	for i := range s.queues {
-		s.queues[i] = s.queues[i][:0]
-	}
-	s.queues = s.queues[:0]
-	s.tasks = s.tasks[:0]
-	s.depArena = s.depArena[:0]
-	s.nDeps = 0
-}
-
-// Reserve pre-sizes the simulator for about nTasks tasks carrying nDeps
-// total dependency edges, eliminating growth reallocations on the build
-// path. It is a hint: the simulator grows past it as needed.
-func (s *Sim) Reserve(nTasks, nDeps int) {
-	if cap(s.tasks) < nTasks {
-		tasks := make([]Task, len(s.tasks), nTasks)
-		copy(tasks, s.tasks)
-		s.tasks = tasks
-	}
-	if cap(s.depArena) < nDeps {
-		arena := make([]TaskID, len(s.depArena), nDeps)
-		copy(arena, s.depArena)
-		s.depArena = arena
-	}
-}
-
 // Stream creates a new named execution stream.
 func (s *Sim) Stream(name string) StreamID {
 	id := StreamID(len(s.streams))
 	s.streams = append(s.streams, name)
-	if len(s.queues) < cap(s.queues) {
-		// Reuse the queue storage a Reset left behind.
-		s.queues = s.queues[:len(s.queues)+1]
-		s.queues[id] = s.queues[id][:0]
-	} else {
-		s.queues = append(s.queues, nil)
-	}
+	s.queues = append(s.queues, nil)
 	return id
 }
-
-// ReserveStream pre-sizes stream st's queue for about n tasks.
-func (s *Sim) ReserveStream(st StreamID, n int) {
-	if int(st) < 0 || int(st) >= len(s.queues) {
-		panic(fmt.Sprintf("des: ReserveStream on unknown stream %d", st))
-	}
-	if q := s.queues[st]; cap(q) < n {
-		nq := make([]TaskID, len(q), n)
-		copy(nq, q)
-		s.queues[st] = nq
-	}
-}
-
-// NumTasks returns the number of enqueued tasks.
-func (s *Sim) NumTasks() int { return len(s.tasks) }
 
 // Add enqueues a task at the tail of stream st and returns its ID.
 func (s *Sim) Add(st StreamID, dur float64, class Class, deps ...TaskID) TaskID {
@@ -294,28 +220,16 @@ func (s *Sim) AddTagged(st StreamID, dur float64, class Class, stage, micro int,
 			panic(fmt.Sprintf("des: task %s depends on unknown task %d", class, d))
 		}
 	}
-	var ds []TaskID
-	if len(deps) > 0 {
-		// Copy into the shared arena; the full slice expression pins the
-		// capacity so a later AddDep reallocates instead of clobbering a
-		// neighboring task's dependencies.
-		base := len(s.depArena)
-		s.depArena = append(s.depArena, deps...)
-		ds = s.depArena[base:len(s.depArena):len(s.depArena)]
-		s.nDeps += len(deps)
-	}
-	t := Task{ID: id, Stream: st, Dur: dur, Deps: ds,
-		Class: class, Stage: stage, Micro: micro}
-	s.tasks = append(s.tasks, t)
+	s.tasks = append(s.tasks, Task{ID: id, Stream: st, Dur: dur, Deps: append([]TaskID(nil), deps...),
+		Class: class, Stage: stage, Micro: micro})
 	s.queues[st] = append(s.queues[st], id)
 	return id
 }
 
 // AddDep appends dependencies to an existing task. Unlike Add, it accepts
 // any task created so far, enabling cross-stream wiring in a second pass
-// (dependency cycles introduced this way are caught by Run as deadlocks).
-// The combined list is rewritten into the arena, so wiring a whole
-// schedule's transfers costs amortized-zero allocations.
+// (dependency cycles introduced this way are caught by RunReference as
+// deadlocks).
 func (s *Sim) AddDep(t TaskID, deps ...TaskID) {
 	if int(t) < 0 || int(t) >= len(s.tasks) {
 		panic(fmt.Sprintf("des: AddDep on unknown task %d", t))
@@ -325,159 +239,16 @@ func (s *Sim) AddDep(t TaskID, deps ...TaskID) {
 			panic(fmt.Sprintf("des: AddDep with unknown dependency %d", d))
 		}
 	}
-	old := s.tasks[t].Deps
-	base := len(s.depArena)
-	s.depArena = append(s.depArena, old...)
-	s.depArena = append(s.depArena, deps...)
-	s.tasks[t].Deps = s.depArena[base:len(s.depArena):len(s.depArena)]
-	s.nDeps += len(deps)
+	s.tasks[t].Deps = append(s.tasks[t].Deps, deps...)
 }
 
-// Run executes all tasks and returns the timeline. It returns an error if
-// the task graph deadlocks (a cross-stream dependency cycle), identifying
-// one blocked task.
-//
-// This is the indexed fast path: a reverse-dependency adjacency list and a
-// worklist of streams whose head may have become runnable replace the
-// repeated full-stream rescans of RunReference, and spans land directly in
-// their final (Stream, Start, Task) order — per-stream FIFO execution with
-// monotonically assigned task IDs means queue order is already span order,
-// so no final sort is needed. Start times are computed with the same
-// max-over-dependencies arithmetic, so timelines are bit-identical to the
-// reference loop.
-func (s *Sim) Run() (*Timeline, error) {
-	n := len(s.tasks)
-	nq := len(s.queues)
-	sc := &s.scratch
-
-	// Span layout: contiguous per stream, in queue (= execution) order.
-	// offsets and spans escape into the Timeline; everything else comes
-	// from the reusable scratch buffers.
-	offsets := make([]int, nq+1)
-	for qi, q := range s.queues {
-		offsets[qi+1] = offsets[qi] + len(q)
-	}
-	spans := make([]Span, n)
-
-	// Reverse adjacency in CSR form plus per-task pending counts. The fill
-	// pass advances revOff[d] past d's range, so afterwards d's dependents
-	// sit in rev[revOff[d-1]:revOff[d]] — one cursor array instead of two.
-	indeg := grow(&sc.indeg, n)
-	revOff := grow(&sc.revOff, n+1)
-	clear(revOff)
-	for i := range s.tasks {
-		deps := s.tasks[i].Deps
-		indeg[i] = int32(len(deps))
-		for _, d := range deps {
-			revOff[d+1]++
-		}
-	}
-	for i := 0; i < n; i++ {
-		revOff[i+1] += revOff[i]
-	}
-	// revOff[n] is the true edge count (Deps may have been patched
-	// directly by white-box tests, bypassing the nDeps bookkeeping).
-	rev := grow(&sc.rev, int(revOff[n]))
-	for i := range s.tasks {
-		for _, d := range s.tasks[i].Deps {
-			rev[revOff[d]] = TaskID(i)
-			revOff[d]++
-		}
-	}
-	revLo := func(id TaskID) int32 {
-		if id == 0 {
-			return 0
-		}
-		return revOff[id-1]
-	}
-
-	depFree := grow(&sc.depFree, n) // max finish time over resolved deps
-	clear(depFree)
-	head := grow(&sc.head, nq)
-	clear(head)
-	streamFree := grow(&sc.streamFree, nq)
-	clear(streamFree)
-
-	// Worklist of streams whose head may be runnable. Seeded in reverse so
-	// the initial drain visits streams in creation order (cosmetic only:
-	// simulated time does not depend on processing order).
-	stack := grow(&sc.stack, nq)[:0]
-	inStack := grow(&sc.inStack, nq)
-	clear(inStack)
-	for qi := nq - 1; qi >= 0; qi-- {
-		if len(s.queues[qi]) > 0 {
-			stack = append(stack, qi)
-			inStack[qi] = true
-		}
-	}
-
-	remaining := n
-	var makespan float64
-	for len(stack) > 0 {
-		qi := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		inStack[qi] = false
-		q := s.queues[qi]
-		for head[qi] < len(q) {
-			id := q[head[qi]]
-			if indeg[id] != 0 {
-				break
-			}
-			t := &s.tasks[id]
-			start := streamFree[qi]
-			if depFree[id] > start {
-				start = depFree[id]
-			}
-			end := start + t.Dur
-			streamFree[qi] = end
-			if end > makespan {
-				makespan = end
-			}
-			spans[offsets[qi]+head[qi]] = Span{Task: id, Stream: t.Stream, Class: t.Class,
-				Stage: t.Stage, Micro: t.Micro, Start: start, End: end}
-			head[qi]++
-			remaining--
-			for _, d := range rev[revLo(id):revOff[id]] {
-				indeg[d]--
-				if depFree[d] < end {
-					depFree[d] = end
-				}
-				if indeg[d] == 0 {
-					// Wake the dependent's stream if it is now runnable at
-					// its head. The current stream's own drain loop picks up
-					// same-stream dependents without a push.
-					sd := int(s.tasks[d].Stream)
-					if sd != qi && !inStack[sd] && s.queues[sd][head[sd]] == d {
-						stack = append(stack, sd)
-						inStack[sd] = true
-					}
-				}
-			}
-		}
-	}
-	sc.stack = stack[:0]
-
-	if remaining > 0 {
-		for qi := range s.queues {
-			if head[qi] < len(s.queues[qi]) {
-				id := s.queues[qi][head[qi]]
-				return nil, fmt.Errorf("des: deadlock: task %d (%s) on stream %q blocked",
-					id, s.tasks[id].Class, s.streams[qi])
-			}
-		}
-		return nil, fmt.Errorf("des: deadlock with no blocked head (internal error)")
-	}
-
-	return &Timeline{Spans: spans, Makespan: makespan,
-		StreamNames: append([]string(nil), s.streams...), offsets: offsets}, nil
-}
-
-// RunReference executes all tasks with the original rescanning loop: every
-// pass drains each stream as far as dependencies allow, and the spans are
-// sorted afterwards. It is kept as the executable specification of Run —
-// the equivalence tests here and in internal/engine assert bit-identical
-// timelines — and as the denominator of the perf harness' des_run ratio
-// (scripts/bench.sh).
+// RunReference executes all tasks and returns the timeline, its spans
+// sorted by (Stream, Start, Task). Every pass drains each stream as far as
+// dependencies allow. It returns an error if the task graph deadlocks (a
+// cross-stream dependency cycle), identifying one blocked task. It is the
+// executable specification the engine's replay is tested against: the
+// oracle in internal/engine's tests builds each plan's task graph and
+// asserts the replay reproduces this timeline bit for bit.
 func (s *Sim) RunReference() (*Timeline, error) {
 	n := len(s.tasks)
 	finish := make([]float64, n)

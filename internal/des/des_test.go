@@ -3,6 +3,7 @@ package des
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -15,7 +16,7 @@ func TestSequentialStream(t *testing.T) {
 	b := s.Add(c, 2.0, ClassOther)
 	_ = a
 	_ = b
-	tl, err := s.Run()
+	tl, err := s.RunReference()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestParallelStreamsOverlap(t *testing.T) {
 	n := s.Stream("net")
 	s.Add(c, 2.0, ClassFwd)
 	s.Add(n, 2.0, ClassSend) // independent: fully overlapped
-	tl, err := s.Run()
+	tl, err := s.RunReference()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestCrossStreamDependency(t *testing.T) {
 	s.Add(c, 1.0, ClassOther) // compute continues while send runs
 	g := s.Add(c, 1.0, ClassBwd, snd)
 	_ = g
-	tl, err := s.Run()
+	tl, err := s.RunReference()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestDependencyDelaysStart(t *testing.T) {
 	long := s.Add(a, 5.0, ClassOther)
 	dep := s.Add(b, 1.0, ClassOther, long)
 	_ = dep
-	tl, err := s.Run()
+	tl, err := s.RunReference()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestCrossStreamResolvableOrder(t *testing.T) {
 	s.Add(cb, 1, ClassOther, p)
 	r := s.Add(cb, 1, ClassOther)
 	s.Add(ca, 1, ClassOther, r)
-	tl, err := s.Run()
+	tl, err := s.RunReference()
 	if err != nil {
 		t.Fatalf("resolvable graph reported deadlock: %v", err)
 	}
@@ -109,7 +110,7 @@ func TestDeadlockDetection(t *testing.T) {
 	hB := s.Add(hb, 1, ClassOther)
 	s.tasks[hA].Deps = []TaskID{hB}
 	s.tasks[hB].Deps = []TaskID{hA}
-	if _, err := s.Run(); err == nil {
+	if _, err := s.RunReference(); err == nil {
 		t.Fatal("cyclic dependency should deadlock")
 	} else if !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("unexpected error: %v", err)
@@ -133,7 +134,7 @@ func TestNoOverlapWithinStream(t *testing.T) {
 			st := streams[rng.Intn(len(streams))]
 			ids = append(ids, s.Add(st, rng.Float64(), ClassOther, deps...))
 		}
-		tl, err := s.Run()
+		tl, err := s.RunReference()
 		if err != nil {
 			return false
 		}
@@ -174,7 +175,7 @@ func TestBusyAndClassTime(t *testing.T) {
 	s.AddTagged(c, 1.0, ClassFwd, 0, 0)
 	s.AddTagged(c, 3.0, ClassBwd, 0, 0)
 	s.AddTagged(n, 2.0, ClassReduce, 0, -1)
-	tl, err := s.Run()
+	tl, err := s.RunReference()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestZeroDurationTasks(t *testing.T) {
 	a := s.Add(c, 0, ClassOther)
 	b := s.Add(c, 1, ClassOther, a)
 	_ = b
-	tl, err := s.Run()
+	tl, err := s.RunReference()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestDeterminism(t *testing.T) {
 			s.Add(n, 0.25, ClassOther, id)
 			prev = id
 		}
-		tl, err := s.Run()
+		tl, err := s.RunReference()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,5 +256,105 @@ func TestDeterminism(t *testing.T) {
 		if a.Spans[i] != b.Spans[i] {
 			t.Fatalf("span %d differs between runs", i)
 		}
+	}
+}
+
+// TestIndexedTimelineAccessors checks that an indexed timeline answers
+// BusyTime, ClassTime and StreamSpans through its offsets exactly as the
+// full scans of an unindexed one do, on randomized graphs.
+func TestIndexedTimelineAccessors(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 100; trial++ {
+		s := New()
+		nStreams := 1 + rng.Intn(6)
+		for i := 0; i < nStreams; i++ {
+			s.Stream("s")
+		}
+		var ids []TaskID
+		for i := 0; i < 1+rng.Intn(100); i++ {
+			var deps []TaskID
+			if len(ids) > 0 && rng.Intn(2) == 0 {
+				deps = append(deps, ids[rng.Intn(len(ids))])
+			}
+			class := Class(rng.Intn(len(classNames)))
+			ids = append(ids, s.Add(StreamID(rng.Intn(nStreams)), rng.Float64(), class, deps...))
+		}
+		ref, err := s.RunReference()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// RunReference sorts by stream first, so its spans are already
+		// laid out stream by stream.
+		offsets := make([]int, nStreams+1)
+		for _, sp := range ref.Spans {
+			offsets[sp.Stream+1]++
+		}
+		for i := 0; i < nStreams; i++ {
+			offsets[i+1] += offsets[i]
+		}
+		idx := NewIndexedTimeline(ref.Spans, offsets, ref.Makespan)
+		for st := StreamID(-1); int(st) < nStreams; st++ {
+			if st >= 0 {
+				if idx.BusyTime(st) != ref.BusyTime(st) {
+					t.Fatalf("trial %d: BusyTime(%d) differs", trial, st)
+				}
+				if !reflect.DeepEqual(idx.StreamSpans(st), ref.StreamSpans(st)) {
+					t.Fatalf("trial %d: StreamSpans(%d) differs", trial, st)
+				}
+			}
+			for c := range classNames {
+				if idx.ClassTime(st, Class(c)) != ref.ClassTime(st, Class(c)) {
+					t.Fatalf("trial %d: ClassTime(%d, %v) differs", trial, st, Class(c))
+				}
+			}
+		}
+	}
+}
+
+// TestRunRepeatable: RunReference does not mutate the Sim, so repeated
+// runs agree.
+func TestRunRepeatable(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	s := New()
+	streams := []StreamID{s.Stream("a"), s.Stream("b"), s.Stream("c")}
+	var ids []TaskID
+	for i := 0; i < 100; i++ {
+		var deps []TaskID
+		if len(ids) > 0 && rng.Intn(2) == 0 {
+			deps = append(deps, ids[rng.Intn(len(ids))])
+		}
+		ids = append(ids, s.Add(streams[rng.Intn(len(streams))], float64(rng.Intn(5)), ClassOther, deps...))
+	}
+	a, err := s.RunReference()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.RunReference()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a.Spans, b.Spans) || a.Makespan != b.Makespan {
+		t.Fatal("repeated RunReference on one Sim diverged")
+	}
+}
+
+// TestArenaDepsIsolation guards the per-task dependency lists: appending
+// dependencies to one task (AddDep) must never clobber the list of a task
+// created right after it.
+func TestArenaDepsIsolation(t *testing.T) {
+	s := New()
+	st := s.Stream("c")
+	a := s.Add(st, 1, ClassOther)
+	b := s.Add(st, 1, ClassOther, a)
+	c := s.Add(st, 1, ClassOther, a)
+	s.AddDep(b, a)
+	if got := s.tasks[c].Deps; len(got) != 1 || got[0] != a {
+		t.Fatalf("task c's deps clobbered: %v", got)
+	}
+	if got := s.tasks[b].Deps; len(got) != 2 || got[0] != a || got[1] != a {
+		t.Fatalf("task b's deps wrong: %v", got)
+	}
+	if _, err := s.RunReference(); err != nil {
+		t.Fatal(err)
 	}
 }

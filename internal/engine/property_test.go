@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,62 +9,43 @@ import (
 	"bfpp/internal/core"
 	"bfpp/internal/hw"
 	"bfpp/internal/model"
+	"bfpp/internal/schedule"
 )
 
-// randomPlan draws a valid plan for the 52B model on the paper cluster.
-func randomPlan(rng *rand.Rand) core.Plan {
-	methods := []core.Method{core.GPipe, core.OneFOneB, core.DepthFirst,
-		core.BreadthFirst, core.Hybrid, core.NoPipelineDF, core.NoPipelineBF}
+// randomPlan draws a plan of method for m on the paper cluster: group
+// sizes, micro-batching, loops, sharding, sequence and both overlap flags
+// are drawn raw, and redrawn until Plan.Validate accepts them and the plan
+// fits the cluster.
+func randomPlan(rng *rand.Rand, m model.Transformer, method core.Method) core.Plan {
+	gpus := hw.PaperCluster().NumGPUs()
 	for {
-		m := methods[rng.Intn(len(methods))]
-		pp := 1 << rng.Intn(4) // 1..8
-		if !m.Pipelined() {
-			pp = 1
-		} else if pp == 1 {
-			continue
-		}
-		tp := 1 << rng.Intn(4)
-		dp := 64 / (pp * tp)
-		if dp < 1 {
-			continue
-		}
-		loops := 1
-		if m.Looped() {
-			loops = 1 << rng.Intn(4)
-		}
-		if !m.Pipelined() {
-			loops = []int{1, 2, 4, 8, 16, 32, 64}[rng.Intn(7)]
-		}
-		nmb := pp * (1 + rng.Intn(4))
-		seq := 0
-		if m == core.Hybrid {
-			seq = pp * (1 + rng.Intn(2))
-			nmb = seq * (1 + rng.Intn(3))
-		}
-		p := core.Plan{Method: m, DP: dp, PP: pp, TP: tp,
-			MicroBatch: 1 << rng.Intn(3), NumMicro: nmb, Loops: loops, Sequence: seq}
-		if rng.Intn(2) == 0 {
-			p.OverlapDP, p.OverlapPP = true, true
-		}
-		if dp > 1 && rng.Intn(3) == 0 &&
-			(m == core.BreadthFirst || m == core.NoPipelineBF || m == core.NoPipelineDF) {
-			p.Sharding = core.DPFS
-		}
-		if p.Validate(model.Model52B()) == nil {
+		p := core.Plan{Method: method,
+			DP: 1 << rng.Intn(4), PP: 1 << rng.Intn(4), TP: 1 << rng.Intn(4),
+			MicroBatch: 1 + rng.Intn(3), NumMicro: 1 + rng.Intn(16), Loops: 1 << rng.Intn(7),
+			Sharding: core.Sharding(rng.Intn(3)), Sequence: rng.Intn(17),
+			OverlapDP: rng.Intn(2) == 0, OverlapPP: rng.Intn(2) == 0}
+		if p.GPUs() <= gpus && p.Validate(m) == nil {
 			return p
 		}
 	}
 }
 
-// Property: across random valid plans the simulator upholds its physical
-// invariants — positive finite times, compute-stream busy time bounded by
+// randomAnyPlan draws a plan of a random registered generator for m.
+func randomAnyPlan(rng *rand.Rand, m model.Transformer) core.Plan {
+	gens := schedule.Generators()
+	return randomPlan(rng, m, gens[rng.Intn(len(gens))].Method())
+}
+
+// Property: every plan Plan.Validate accepts simulates cleanly, for every
+// registered generator, and the simulator upholds its physical invariants
+// across them — positive finite times, compute-stream busy time bounded by
 // the batch time, utilization below the kernel ceiling, and determinism.
 func TestSimulatorInvariantsProperty(t *testing.T) {
 	c := hw.PaperCluster()
 	m := model.Model52B()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		p := randomPlan(rng)
+		p := randomAnyPlan(rng, m)
 		r1, err := Simulate(c, m, p)
 		if err != nil {
 			t.Logf("plan %v: %v", p, err)
@@ -103,7 +85,7 @@ func TestOverlapNeverHurtsProperty(t *testing.T) {
 	m := model.Model52B()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		p := randomPlan(rng)
+		p := randomAnyPlan(rng, m)
 		p.Sharding = core.DP0 // isolate the overlap effect
 		pOn := p
 		pOn.OverlapDP, pOn.OverlapPP = true, true
@@ -148,5 +130,28 @@ func TestDegenerateParams(t *testing.T) {
 	broken.InterNode.Bandwidth = 0
 	if _, err := Simulate(broken, m, p); err == nil {
 		t.Error("zero-bandwidth cluster should fail validation")
+	}
+}
+
+// A NaN, infinite or negative calibration value yields a duration the
+// simulation cannot charge: SimulateOpts and Precheck return the same
+// error instead of panicking or pricing the plan.
+func TestInvalidCostsError(t *testing.T) {
+	c := hw.PaperCluster()
+	m := model.Model52B()
+	p := core.Plan{Method: core.BreadthFirst, DP: 1, PP: 8, TP: 8,
+		MicroBatch: 1, NumMicro: 8, Loops: 4, OverlapDP: true, OverlapPP: true}
+	for _, v := range []float64{math.NaN(), math.Inf(1), -1} {
+		par := Defaults()
+		par.KernelLaunch = v
+		opt := Options{Params: &par}
+		_, err := SimulateOpts(c, m, p, opt)
+		if err == nil {
+			t.Errorf("KernelLaunch %v: SimulateOpts returned no error", v)
+			continue
+		}
+		if perr := Precheck(c, m, p, opt); perr == nil || perr.Error() != err.Error() {
+			t.Errorf("KernelLaunch %v: Precheck error %v, SimulateOpts error %v", v, perr, err)
+		}
 	}
 }

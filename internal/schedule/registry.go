@@ -56,8 +56,8 @@ type Traits struct {
 
 	// StepLB returns an admissible lower bound on the simulated batch time
 	// of the plan under the given per-operation costs, and whether the
-	// bound is exact (bit-identical to the DES makespan, which lets the
-	// search skip the simulation entirely). The generic placement-level
+	// bound is exact (bit-identical to the simulated batch time, which lets
+	// the search skip the simulation entirely). The generic placement-level
 	// floor of internal/analytic and StepFloor apply on top of a non-exact
 	// result, so nil is always safe; a hook only tightens pruning. The
 	// search's pricing cascade treats a non-nil StepLB as tier 2 — the

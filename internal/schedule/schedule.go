@@ -49,8 +49,10 @@
 // (Forward, Backward) run on the device's compute stream; data-parallel
 // operations (Restore, Reduce) run on the DP network stream when the
 // implementation overlaps them, or inline on the compute stream otherwise.
-// The engine package maps programs onto the discrete-event simulator and
-// inserts the pipeline-parallel transfers implied by stage adjacency.
+// The replay (stepbound.go) executes programs on those streams, inserting
+// the pipeline-parallel transfers implied by stage adjacency: it prices
+// plans for the search and, through Schedule.Replay, is the engine's
+// simulator.
 package schedule
 
 import (

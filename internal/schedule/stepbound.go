@@ -1,34 +1,38 @@
 package schedule
 
 import (
+	"fmt"
 	"sync"
 
 	"bfpp/internal/core"
+	"bfpp/internal/des"
 )
 
-// This file implements the schedule-side half of the analytic step-time
-// bounds (BaPipe-style search pruning, see internal/analytic): a replay
-// that prices a plan's checked device programs — the ones Cached memoizes
-// and the engine simulates — without running the discrete-event simulator.
+// This file implements the simulator: a replay of a plan's checked device
+// programs — the ones Cached memoizes — that the search's tier 2 prices
+// candidates with (replayLB, BaPipe-style pruning, see internal/analytic)
+// and that the engine simulates plans with (Schedule.Replay). It also holds
+// the generators' cheap tier-1 floors.
 //
-// The replay mirrors the engine's execution model exactly. The engine maps
-// every operation onto per-device in-order streams laid out by
-// SideStreams: compute operations always ride the device's compute stream;
-// pipeline transfers ride a separate per-device pp stream when the
+// The replay maps every operation onto per-device in-order streams laid
+// out by SideStreams: compute operations always ride the device's compute
+// stream; pipeline transfers ride a separate per-device pp stream when the
 // implementation overlaps them (inline on the compute stream otherwise,
 // paying the blocking stall); and data-parallel restores/reductions ride a
-// separate dp stream when overlapped. Every task obeys the same recurrence
-// the DES evaluates: start = max(stream frontier, latest dependency
-// finish), end = start + duration. Replaying that recurrence over the
-// programs with one cursor per stream reproduces the DES makespan bit for
-// bit — for non-overlapped and overlapped plans alike — which is what lets
-// the search treat the bound as the exact simulated time and skip the
-// simulation entirely.
+// separate dp stream when overlapped. Every task obeys the recurrence of
+// an in-order stream: start = max(stream frontier, latest dependency
+// finish), end = start + duration, evaluated with one cursor per stream.
+// Because tier 2 and the simulation run this one function, a tier-2 price
+// is the simulated batch time bit for bit — for non-overlapped and
+// overlapped plans alike — which is what lets the search skip the
+// simulation of a candidate it prices. The engine's tests check the replay
+// against a task-graph builder run on des.Sim.RunReference, which shares
+// no code with it.
 
 // StepCosts holds the engine's derived per-operation durations for one
 // (cluster, model, plan) configuration, in seconds. engine.DeriveCosts is
 // the single producer, so analytic bounds price plans with exactly the
-// constants the simulator charges.
+// constants the simulation charges.
 type StepCosts struct {
 	// Fwd and Bwd are the per-stage per-micro-batch compute durations
 	// (kernel launch included).
@@ -46,13 +50,14 @@ type StepCosts struct {
 	Opt float64
 }
 
-// SideStreams is the engine's stream layout: besides its compute stream,
-// each device gets a pipeline-transfer stream (pp) iff the implementation
-// overlaps pipeline transfers and the plan is pipelined with PP > 1, and a
-// data-parallel stream (dp) iff it overlaps data-parallel work and the
-// plan has some (DP > 1, or DP-FS restores). Every operation without its
-// own stream rides the compute stream. The engine's builder and the replay
-// both read the layout from here.
+// SideStreams is the simulator's stream layout: besides its compute
+// stream, each device gets a pipeline-transfer stream (pp) iff the
+// implementation overlaps pipeline transfers and the plan is pipelined
+// with PP > 1, and a data-parallel stream (dp) iff it overlaps
+// data-parallel work and the plan has some (DP > 1, or DP-FS restores).
+// Every operation without its own stream rides the compute stream. The
+// replay, the engine's stream accounting and its test oracle all read the
+// layout from here.
 func SideStreams(p core.Plan) (pp, dp bool) {
 	pp = p.OverlapPP && p.Method.Pipelined() && p.PP > 1
 	dp = p.OverlapDP && (p.DP > 1 || p.Sharding == core.DPFS)
@@ -63,8 +68,7 @@ func SideStreams(p core.Plan) (pp, dp bool) {
 // micro) end-time tables and the per-device cursor state — so pricing a
 // candidate allocates nothing in the steady state. The replay runs for
 // every candidate the tier-1 floor fails to prune, on the sweep's hot
-// path, which is why the scratch is pooled like the engine's builder
-// scratch.
+// path, which is why the scratch is pooled.
 type replayScratch struct {
 	owner []int
 
@@ -77,6 +81,17 @@ type replayScratch struct {
 	bwdSeenD                 []bool
 	restoreEnd               [][]float64
 	consumers                [][]int
+
+	// Per-op records, sized only when recording: times[r][k] holds the
+	// span of device r's op k and of the transfer it sends, if any. next
+	// is the layout's per-stream fill cursor.
+	times [][]opTimes
+	next  []int
+}
+
+// opTimes records when one op ran, and when the transfer it sends ran.
+type opTimes struct {
+	start, end, xStart, xEnd float64
 }
 
 var replayScratchPool = sync.Pool{New: func() any { return &replayScratch{} }}
@@ -99,9 +114,11 @@ func btoi(b bool) int {
 	return 0
 }
 
-// initReplay resets the cursor state in sc for replaying nDev device
-// programs of p, leaving sc ready for runReplay.
-func initReplay(sc *replayScratch, p core.Plan, nDev int) {
+// initReplay resets the cursor state in sc for replaying the device
+// programs progs of p, leaving sc ready for runReplay; with record it also
+// sizes the per-op records.
+func initReplay(sc *replayScratch, p core.Plan, progs []Program, record bool) {
+	nDev := len(progs)
 	nStages := p.NumStages()
 	nm := p.NumMicro
 	_, dpStream := SideStreams(p)
@@ -168,18 +185,29 @@ func initReplay(sc *replayScratch, p core.Plan, nDev int) {
 			bwdSeenD[i] = false
 		}
 	}
+
+	if record {
+		times := growScratch(&sc.times, nDev)
+		for r, prog := range progs {
+			growScratch(&times[r], len(prog))
+		}
+	}
 }
 
 // runReplay replays progs, one program per device, from the state
 // initReplay left in sc: the three per-device stream cursors execute their
-// ops under the same recurrence the DES evaluates (start = max(stream
-// frontier, latest dependency finish)), which is a pure dataflow fixpoint
-// — the final frontiers are independent of the order the cursors drain
-// in. Once every cursor has reached the end of its program it returns the
-// makespan: the latest finish across every stream, since a trailing
+// ops under the recurrence of in-order streams (start = max(stream
+// frontier, latest dependency finish), end = start + duration), which is a
+// pure dataflow fixpoint — the final frontiers are independent of the
+// order the cursors drain in. Rounds sweep the devices in alternating
+// directions: a dependency chain running toward lower ranks then crosses
+// every device in one round of two, not one device per round. With record
+// it stores every op's start and end, and its transfer's, in sc's per-op
+// records. Once every cursor has reached the end of its program it returns
+// the makespan: the latest finish across every stream, since a trailing
 // transfer or restore can outlive the optimizer step. It returns false if
 // the programs deadlock.
-func runReplay(sc *replayScratch, p core.Plan, c StepCosts, progs []Program) (float64, bool) {
+func runReplay(sc *replayScratch, p core.Plan, c StepCosts, progs []Program, record bool) (float64, bool) {
 	nStages := p.NumStages()
 	nm := p.NumMicro
 	send := p.Method.Pipelined() && p.PP > 1
@@ -200,7 +228,8 @@ func runReplay(sc *replayScratch, p core.Plan, c StepCosts, progs []Program) (fl
 	restoreIdxC, restoreIdxD := sc.restoreIdxC, sc.restoreIdxD
 	restoreEnd, consumers := sc.restoreEnd, sc.consumers
 	restoreSeenC, bwdSeenD := sc.restoreSeenC, sc.bwdSeenD
-	// lastRestore mirrors the builder's lastRestoreFor: the restore for the
+	times := sc.times
+	// lastRestore finds the restore a compute op consumes: the one for the
 	// exact (stage, micro) if one exists, else the per-batch restore
 	// (micro -1, stored at slot 0).
 	lastRestore := func(tbl []int, stage, micro int) int {
@@ -211,7 +240,7 @@ func runReplay(sc *replayScratch, p core.Plan, c StepCosts, progs []Program) (fl
 	}
 
 	// compDrain advances rank r's compute stream as far as cross-stream
-	// dependencies allow, exactly like the DES drains an in-order stream.
+	// dependencies allow, like an in-order stream drains.
 	compDrain := func(r int) bool {
 		progressed := false
 		prog := progs[r]
@@ -230,6 +259,8 @@ func runReplay(sc *replayScratch, p core.Plan, c StepCosts, progs []Program) (fl
 						}
 					}
 				}
+				var end float64
+				inline := false
 				if op.Kind == Forward {
 					if op.Stage > 0 && cross(op.Stage-1, op.Stage) {
 						in := inF[idx(op.Stage, op.Micro)]
@@ -240,10 +271,11 @@ func runReplay(sc *replayScratch, p core.Plan, c StepCosts, progs []Program) (fl
 							start = in
 						}
 					}
-					end := start + c.Fwd
+					end = start + c.Fwd
 					tComp[r] = end
 					fwdEnd[idx(op.Stage, op.Micro)] = end
-					if op.Stage < nStages-1 && cross(op.Stage, op.Stage+1) && !ppStream {
+					inline = op.Stage < nStages-1 && cross(op.Stage, op.Stage+1) && !ppStream
+					if inline {
 						// Inline send: the transfer occupies the compute
 						// stream right after its producer.
 						tComp[r] = end + x
@@ -259,12 +291,20 @@ func runReplay(sc *replayScratch, p core.Plan, c StepCosts, progs []Program) (fl
 							start = in
 						}
 					}
-					end := start + c.Bwd
+					end = start + c.Bwd
 					tComp[r] = end
 					bwdEnd[idx(op.Stage, op.Micro)] = end
-					if op.Stage > 0 && cross(op.Stage-1, op.Stage) && !ppStream {
+					inline = op.Stage > 0 && cross(op.Stage-1, op.Stage) && !ppStream
+					if inline {
 						tComp[r] = end + x
 						inB[idx(op.Stage-1, op.Micro)] = tComp[r]
+					}
+				}
+				if record {
+					t := &times[r][kComp[r]]
+					t.start, t.end = start, end
+					if inline {
+						t.xStart, t.xEnd = end, tComp[r]
 					}
 				}
 			case Restore:
@@ -276,12 +316,18 @@ func runReplay(sc *replayScratch, p core.Plan, c StepCosts, progs []Program) (fl
 				} else {
 					// Rides this stream; same-stream dependencies resolve
 					// before the frontier, so it just occupies the stream.
+					if record {
+						times[r][kComp[r]] = opTimes{start: tComp[r], end: tComp[r] + c.Restore}
+					}
 					tComp[r] += c.Restore
 				}
 			case Reduce:
 				if dpStream {
 					reduceSeen[r]++
 				} else {
+					if record {
+						times[r][kComp[r]] = opTimes{start: tComp[r], end: tComp[r] + c.Reduce}
+					}
 					tComp[r] += c.Reduce
 				}
 			case Optimize:
@@ -296,6 +342,9 @@ func runReplay(sc *replayScratch, p core.Plan, c StepCosts, progs []Program) (fl
 					start = maxReduceEnd[r]
 				}
 				tComp[r] = start + c.Opt
+				if record {
+					times[r][kComp[r]] = opTimes{start: start, end: tComp[r]}
+				}
 			}
 			kComp[r]++
 			progressed = true
@@ -323,6 +372,9 @@ func runReplay(sc *replayScratch, p core.Plan, c StepCosts, progs []Program) (fl
 				end := start + x
 				tPP[r] = end
 				inF[idx(op.Stage+1, op.Micro)] = end
+				if record {
+					times[r][kPP[r]].xStart, times[r][kPP[r]].xEnd = start, end
+				}
 			} else if op.Kind == Backward && op.Stage > 0 && cross(op.Stage-1, op.Stage) {
 				e := bwdEnd[idx(op.Stage, op.Micro)]
 				if e < 0 {
@@ -335,6 +387,9 @@ func runReplay(sc *replayScratch, p core.Plan, c StepCosts, progs []Program) (fl
 				end := start + x
 				tPP[r] = end
 				inB[idx(op.Stage-1, op.Micro)] = end
+				if record {
+					times[r][kPP[r]].xStart, times[r][kPP[r]].xEnd = start, end
+				}
 			}
 			kPP[r]++
 			progressed = true
@@ -382,6 +437,9 @@ func runReplay(sc *replayScratch, p core.Plan, c StepCosts, progs []Program) (fl
 				}
 				end := start + c.Restore
 				tDP[r] = end
+				if record {
+					times[r][kDP[r]] = opTimes{start: start, end: end}
+				}
 				restoreIdxD[op.Stage*(nm+1)+op.Micro+1] = i
 				restoreEnd[r] = append(restoreEnd[r], end)
 				consumers[r] = append(consumers[r], -1)
@@ -402,6 +460,9 @@ func runReplay(sc *replayScratch, p core.Plan, c StepCosts, progs []Program) (fl
 				}
 				end := start + c.Reduce
 				tDP[r] = end
+				if record {
+					times[r][kDP[r]] = opTimes{start: start, end: end}
+				}
 				if end > maxReduceEnd[r] {
 					maxReduceEnd[r] = end
 				}
@@ -413,10 +474,14 @@ func runReplay(sc *replayScratch, p core.Plan, c StepCosts, progs []Program) (fl
 		return progressed
 	}
 
-	for {
+	for round := 0; ; round++ {
 		progressed := false
 		done := true
-		for r, prog := range progs {
+		for i := range progs {
+			r := i
+			if round&1 == 1 {
+				r = len(progs) - 1 - i
+			}
 			if compDrain(r) {
 				progressed = true
 			}
@@ -426,7 +491,7 @@ func runReplay(sc *replayScratch, p core.Plan, c StepCosts, progs []Program) (fl
 			if dpStream && dpDrain(r) {
 				progressed = true
 			}
-			if n := len(prog); kComp[r] < n || (ppStream && kPP[r] < n) || (dpStream && kDP[r] < n) {
+			if n := len(progs[r]); kComp[r] < n || (ppStream && kPP[r] < n) || (dpStream && kDP[r] < n) {
 				done = false
 			}
 		}
@@ -461,8 +526,110 @@ func replayLB(p core.Plan, c StepCosts) (float64, bool) {
 	}
 	sc := replayScratchPool.Get().(*replayScratch)
 	defer replayScratchPool.Put(sc)
-	initReplay(sc, p, len(progs))
-	return runReplay(sc, p, c, progs)
+	initReplay(sc, p, progs, false)
+	return runReplay(sc, p, c, progs, false)
+}
+
+// Replay simulates one batch of the checked schedule s under the costs c:
+// it runs the replay tier 2 prices with, recording every task's span, and
+// returns the timeline. One task stands for each op of s's programs and
+// one for each cross-device transfer. The timeline lays the spans out the
+// way the discrete-event reference executor does, with one stream per
+// device and kind: the compute streams of devices 0..n-1, then their pp
+// streams and then their dp streams where SideStreams adds them. Each
+// stream's spans are in queue order. Task ids follow a task-graph
+// builder's creation order: device by device, in program order, with each
+// transfer right after its producer. Stream names are left to the caller.
+// A replay that cannot finish returns an error; checked programs never
+// stall it.
+func (s *Schedule) Replay(c StepCosts) (*des.Timeline, error) {
+	p, progs := s.Plan, s.Devices
+	sc := replayScratchPool.Get().(*replayScratch)
+	defer replayScratchPool.Put(sc)
+	initReplay(sc, p, progs, true)
+	makespan, ok := runReplay(sc, p, c, progs, true)
+	if !ok {
+		for r, prog := range progs {
+			if k := sc.kComp[r]; k < len(prog) {
+				return nil, fmt.Errorf("schedule: %v: replay deadlocked: device %d blocked at %v", p, r, prog[k])
+			}
+		}
+		return nil, fmt.Errorf("schedule: %v: replay deadlocked", p)
+	}
+	return layout(sc, p, progs, makespan), nil
+}
+
+// spanClass is the timeline class of each op kind.
+var spanClass = [...]des.Class{Forward: des.ClassFwd, Backward: des.ClassBwd,
+	Restore: des.ClassRestore, Reduce: des.ClassReduce, Optimize: des.ClassOpt}
+
+// layout lays the per-op records of a finished replay out as Replay
+// documents.
+func layout(sc *replayScratch, p core.Plan, progs []Program, makespan float64) *des.Timeline {
+	nDev := len(progs)
+	nStages := p.NumStages()
+	send := p.Method.Pipelined() && p.PP > 1
+	ppStream, dpStream := SideStreams(p)
+	ppBase, dpBase := nDev, nDev*(1+btoi(ppStream))
+	nStreams := dpBase + nDev*btoi(dpStream)
+	sends := func(op Op) bool {
+		switch {
+		case !send:
+			return false
+		case op.Kind == Forward:
+			return op.Stage < nStages-1 && sc.owner[op.Stage] != sc.owner[op.Stage+1]
+		case op.Kind == Backward:
+			return op.Stage > 0 && sc.owner[op.Stage-1] != sc.owner[op.Stage]
+		}
+		return false
+	}
+	opStream := func(r int, k Kind) int {
+		if dpStream && (k == Restore || k == Reduce) {
+			return dpBase + r
+		}
+		return r
+	}
+	sendStream := func(r int) int {
+		if ppStream {
+			return ppBase + r
+		}
+		return r
+	}
+
+	offsets := make([]int, nStreams+1)
+	for r, prog := range progs {
+		for _, op := range prog {
+			offsets[opStream(r, op.Kind)+1]++
+			if sends(op) {
+				offsets[sendStream(r)+1]++
+			}
+		}
+	}
+	for st := 0; st < nStreams; st++ {
+		offsets[st+1] += offsets[st]
+	}
+	spans := make([]des.Span, offsets[nStreams])
+	next := growScratch(&sc.next, nStreams)
+	copy(next, offsets)
+	var id des.TaskID
+	for r, prog := range progs {
+		for k, op := range prog {
+			t := sc.times[r][k]
+			st := opStream(r, op.Kind)
+			spans[next[st]] = des.Span{Task: id, Stream: des.StreamID(st), Class: spanClass[op.Kind],
+				Stage: op.Stage, Micro: op.Micro, Start: t.start, End: t.end}
+			next[st]++
+			id++
+			if sends(op) {
+				st := sendStream(r)
+				spans[next[st]] = des.Span{Task: id, Stream: des.StreamID(st), Class: des.ClassSend,
+					Stage: op.Stage, Micro: op.Micro, Start: t.xStart, End: t.xEnd}
+				next[st]++
+				id++
+			}
+		}
+	}
+	return des.NewIndexedTimeline(spans, offsets, makespan)
 }
 
 // ReplayCache is an empty placeholder kept for callers of LowerBoundCached

@@ -2,6 +2,7 @@ package search
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"bfpp/internal/core"
@@ -246,6 +247,29 @@ func TestPerFamilyStats(t *testing.T) {
 	for _, k := range []string{"bf", "ws", "hy"} {
 		if fs := stats.Family(k); fs.Enumerated.Load() > 0 && fs.PruneRate() < 0.25 {
 			t.Errorf("overlapped family %s prunes only %.1f%% (%v), want a substantial rate", k, 100*fs.PruneRate(), fs)
+		}
+	}
+}
+
+// A calibration value that makes a derived duration NaN, infinite or
+// negative fails the search with an error, pruned and unpruned alike:
+// the precheck reports it before any bound could price the candidate out.
+func TestInvalidCostsFailOptimize(t *testing.T) {
+	c := hw.PaperCluster()
+	m := model.Model6p6B()
+	f, ok := FamilyByKey("bf")
+	if !ok {
+		t.Fatal("breadth-first family not registered")
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), -1} {
+		par := engine.Defaults()
+		par.KernelLaunch = v
+		for _, noPrune := range []bool{false, true} {
+			_, err := Optimize(context.Background(), c, m, f, 64,
+				Options{Params: &par, Workers: 2, NoPrune: noPrune})
+			if err == nil {
+				t.Errorf("KernelLaunch %v, NoPrune %v: Optimize returned no error", v, noPrune)
+			}
 		}
 	}
 }

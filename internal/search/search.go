@@ -33,8 +33,9 @@
 // real bound instead of pricing against nothing. Jobs are ordered
 // cheapest-bound-first, and a candidate reaches tier 2 — the O(ops) exact
 // multi-stream schedule replay (analytic.LowerBound, which replays the
-// candidate's prechecked device programs bit-identically to the DES
-// makespan for every generator registering the replay hook) — only when
+// candidate's prechecked device programs with the simulator's own replay,
+// so its price is the simulated batch time bit for bit for every
+// generator registering the replay hook) — only when
 // its floor fails to prune against the incumbent. Exact tier-2 prices
 // feed the incumbent immediately (the replay IS the simulated time), so
 // siblings prune before the simulation even runs.
@@ -264,9 +265,9 @@ type FamilyStats struct {
 	// BoundSkipped counts candidates skipped at execution time because
 	// their analytic throughput upper bound could not beat the incumbent.
 	BoundSkipped atomic.Int64
-	// Simulated counts candidates that reached the discrete-event
-	// simulator (including candidates whose precheck reported an error:
-	// the unpruned path would have simulated them).
+	// Simulated counts candidates that reached the simulation,
+	// engine.SimulateOpts (including candidates whose precheck reported an
+	// error: the unpruned path would have simulated them).
 	Simulated atomic.Int64
 	// FlooredOut counts the BoundSkipped candidates whose price at skip
 	// time was still the tier-1 floor — pruned without ever paying the

@@ -632,10 +632,10 @@ func (s *Service) storePut(key string, resp SearchResponse) {
 	s.cfg.Store.Put(key, blob)
 }
 
-// Simulate runs one discrete-event simulation. The simulation itself is
-// indivisible: the context gates the queue wait and the start (an expired
-// deadline or a gone client never starts the job), but a simulation
-// already running completes — it is a single DES pass, not a sweep.
+// Simulate runs one simulation. The simulation itself is indivisible: the
+// context gates the queue wait and the start (an expired deadline or a
+// gone client never starts the job), but a simulation already running
+// completes — it is a single replay pass, not a sweep.
 func (s *Service) Simulate(ctx context.Context, req SimulateRequest) (SimulateResponse, error) {
 	m, err := cliParseModel(req.Model)
 	if err != nil {

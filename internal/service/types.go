@@ -125,7 +125,7 @@ type SimulateRequest struct {
 	// selects the default paper model.
 	CostModel string `json:"cost_model,omitempty"`
 	// TimeoutMS bounds the queue wait and gates the start; the simulation
-	// itself is indivisible (a single DES pass) and runs to completion
+	// itself is indivisible (a single replay pass) and runs to completion
 	// once started.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }

@@ -1,7 +1,7 @@
 #!/bin/sh
 # scripts/bench.sh — perf harness for the parallel grid-search engine.
 #
-# Runs the search/DES benchmarks and emits BENCH_search.json with ns/op,
+# Runs the search/simulation benchmarks and emits BENCH_search.json with ns/op,
 # B/op and allocs/op per benchmark plus the headline speedups:
 #
 #   sweep_pruned    the full Figure-7 grid (all families x 52B batches),
@@ -13,7 +13,6 @@
 #                   family's registered bound carries)
 #   parallel_scaling one (family, batch) search, serial (1 worker) vs
 #                   GOMAXPROCS workers
-#   des_run         DES inner loop, reference rescanning vs indexed fast path
 #   service_overhead what the request/response layer (canonicalization,
 #                   job slot, response assembly) adds on top of the direct
 #                   pruned sweep: ServiceSearchCold / SweepFigure7Pruned,
@@ -44,8 +43,10 @@
 #                   exist, written back verbatim on every run: the
 #                   speedups and allocs/op of the optimized search over
 #                   the original serial evaluator (no memo caches,
-#                   reference DES loop), deleted after its last
-#                   measurement on 2026-08-08.
+#                   reference DES loop), and the DES's indexed run loop
+#                   against its reference loop (des_run), both last
+#                   measured on 2026-08-08; the schedule replay has since
+#                   replaced the DES as the simulator.
 #
 # Overhead ratios (service_overhead, fault_overhead) measure a wrapper
 # against the exact work it wraps, so the true ratio is >= 1.0 by
@@ -69,7 +70,7 @@ TMP=$(mktemp)
 trap 'rm -f "$TMP"' EXIT
 
 go test -run '^$' \
-	-bench 'BenchmarkSearchOptimize(Serial|Parallel)$|BenchmarkSweepFigure7(Parallel|Pruned|PrunedFault|PrunedCostModel)$|BenchmarkDESRun(Fast|Reference)$|BenchmarkSimulateBatch(Fault)?$|BenchmarkServiceSearch(Cold|Cached|Store)$' \
+	-bench 'BenchmarkSearchOptimize(Serial|Parallel)$|BenchmarkSweepFigure7(Parallel|Pruned|PrunedFault|PrunedCostModel)$|BenchmarkSimulateBatch(Fault)?$|BenchmarkServiceSearch(Cold|Cached|Store)$' \
 	-benchmem -benchtime="$BENCHTIME" -count="$BENCHCOUNT" . | tee "$TMP"
 
 GOMAXPROCS_N=$(go run ./scripts/gomaxprocs 2>/dev/null || nproc 2>/dev/null || echo 1)
@@ -120,7 +121,6 @@ END {
 	printf "  \"speedups\": {\n" > out
 	printf "    \"sweep_pruned\": %.2f,\n", ns["SweepFigure7Parallel"] / ns["SweepFigure7Pruned"] > out
 	printf "    \"parallel_scaling\": %.2f,\n", ns["SearchOptimizeSerial"] / ns["SearchOptimizeParallel"] > out
-	printf "    \"des_run\": %.2f,\n", ns["DESRunReference"] / ns["DESRunFast"] > out
 	printf "    \"service_overhead\": %.3f,\n", clamp1(ns["ServiceSearchCold"] / ns["SweepFigure7Pruned"]) > out
 	printf "    \"service_overhead_raw\": %.3f,\n", ns["ServiceSearchCold"] / ns["SweepFigure7Pruned"] > out
 	printf "    \"store_overhead\": %.3f,\n", clamp1(ns["ServiceSearchStore"] / ns["ServiceSearchCold"]) > out
@@ -149,11 +149,16 @@ END {
 	printf "  },\n" > out
 	printf "  \"history\": {\n" > out
 	printf "    \"measured\": \"2026-08-08\",\n" > out
-	printf "    \"note\": \"optimized search vs the original serial evaluator (no memo caches, reference DES loop), deleted after this measurement; gomaxprocs 1, benchtime 3x\",\n" > out
+	printf "    \"note\": \"optimized search vs the original serial evaluator (no memo caches, reference DES loop), and the DES indexed run loop vs its reference loop (des_run), deleted after this measurement; gomaxprocs 1, benchtime 3x\",\n" > out
+	printf "    \"benchmarks\": {\n" > out
+	printf "      \"DESRunFast\": {\"ns_per_op\": 48438, \"bytes_per_op\": 131685, \"allocs_per_op\": 6},\n" > out
+	printf "      \"DESRunReference\": {\"ns_per_op\": 244012, \"bytes_per_op\": 133848, \"allocs_per_op\": 10}\n" > out
+	printf "    },\n" > out
 	printf "    \"speedups\": {\n" > out
 	printf "      \"sweep_figure7\": 3.54,\n" > out
 	printf "      \"optimize\": 100.44,\n" > out
-	printf "      \"simulate_batch\": 2.51\n" > out
+	printf "      \"simulate_batch\": 2.51,\n" > out
+	printf "      \"des_run\": 5.04\n" > out
 	printf "    },\n" > out
 	printf "    \"allocs_reduction\": {\n" > out
 	printf "      \"simulate_batch\": \"95 -> 7 allocs/op\",\n" > out
