@@ -233,10 +233,10 @@ func BenchmarkSweepFigure7Parallel(b *testing.B) {
 }
 
 // BenchmarkSweepFigure7Pruned is the default evaluator: worker pool,
-// caches, and the analytic branch-and-bound (cheapest-bound
-// ordering, incumbent skipping, dominance pre-pass). Results are
-// byte-identical to the unpruned sweep; the prune% metric reports the
-// fraction of candidates that never reached the simulator.
+// caches, and the analytic branch-and-bound (cheapest-bound ordering,
+// incumbent skipping). Results are byte-identical to the unpruned sweep;
+// the prune% metric reports the fraction of candidates that never reached
+// the simulator.
 func BenchmarkSweepFigure7Pruned(b *testing.B) {
 	stats := &search.Stats{}
 	benchSweep(b, search.Options{Stats: stats})
@@ -244,13 +244,12 @@ func BenchmarkSweepFigure7Pruned(b *testing.B) {
 		b.ReportMetric(100*stats.PruneRate(), "prune%")
 		// Cascade tier metrics (BENCH_search.json's cascade object): the
 		// fraction of bound-skips the tier-1 floor won without an exact
-		// replay, the fraction of candidates that paid the O(ops) tier-2
-		// price, and the warm-started incumbent count.
+		// replay, and the fraction of candidates that paid the O(ops)
+		// tier-2 price.
 		if s := stats.BoundSkipped.Load(); s > 0 {
 			b.ReportMetric(100*float64(stats.FlooredOut.Load())/float64(s), "floored%")
 		}
 		b.ReportMetric(100*float64(stats.ReplayPriced.Load())/float64(e), "replay%")
-		b.ReportMetric(float64(stats.WarmStartHits.Load())/float64(b.N), "warmstarts")
 		// Per-family prune rates (BENCH_search.json's prune_rate_by_family):
 		// how far each family's registered bound carries the pruning.
 		for _, key := range stats.FamilyKeys() {

@@ -85,15 +85,14 @@ func main() {
 	}
 	fmt.Print(resp.Table)
 	st := resp.Stats
-	fmt.Fprintf(os.Stderr, "bfpp-search: pruning: enumerated %d, dominated %d, bounded out %d, simulated %d (%.1f%% pruned)\n",
-		st.Enumerated, st.Dominated, st.BoundedOut, st.Simulated, 100*pruneRate(st.Enumerated, st.Dominated+st.BoundedOut))
-	fmt.Fprintf(os.Stderr, "bfpp-search: cascade: floored out %d, replay priced %d, warm starts %d\n",
-		st.FlooredOut, st.ReplayPriced, st.WarmStartHits)
+	fmt.Fprintf(os.Stderr, "bfpp-search: pruning: enumerated %d, bounded out %d, simulated %d (%.1f%% pruned)\n",
+		st.Enumerated, st.BoundedOut, st.Simulated, 100*pruneRate(st.Enumerated, st.BoundedOut))
+	fmt.Fprintf(os.Stderr, "bfpp-search: cascade: floored out %d, replay priced %d\n",
+		st.FlooredOut, st.ReplayPriced)
 	for _, fp := range st.Families {
-		fmt.Fprintf(os.Stderr, "bfpp-search: pruning[%s]: enumerated %d, dominated %d, bounded out %d (floored %d), simulated %d, replay priced %d, warm starts %d (%.1f%% pruned)\n",
-			fp.Key, fp.Enumerated, fp.Dominated, fp.BoundedOut, fp.FlooredOut,
-			fp.Simulated, fp.ReplayPriced, fp.WarmStartHits,
-			100*pruneRate(fp.Enumerated, fp.Dominated+fp.BoundedOut))
+		fmt.Fprintf(os.Stderr, "bfpp-search: pruning[%s]: enumerated %d, bounded out %d (floored %d), simulated %d, replay priced %d (%.1f%% pruned)\n",
+			fp.Key, fp.Enumerated, fp.BoundedOut, fp.FlooredOut,
+			fp.Simulated, fp.ReplayPriced, 100*pruneRate(fp.Enumerated, fp.BoundedOut))
 	}
 }
 

@@ -7,8 +7,8 @@
 //
 // The merge is trivially deterministic because the work split is along the
 // search's own independence boundary: each (family, batch) group's winner
-// is a deterministic function of the request alone (the warm-start seeds a
-// co-resident sweep adds never change winners, only pricing effort), so
+// is a deterministic function of the request alone (no price crosses a
+// group boundary, so co-resident groups change only pricing effort), so
 // whichever replica prices a group — and however many times a fault makes
 // another replica re-price it — the merged table is byte-identical to the
 // single-process search.SweepAll. The chaos tests pin exactly that, under

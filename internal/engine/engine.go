@@ -116,7 +116,7 @@ func prepare(c hw.Cluster, m model.Transformer, p core.Plan, opt Options) (*sche
 		par = *opt.Params
 	}
 	costs := DeriveCosts(c, m, p, par)
-	if err := checkCosts(p, costs); err != nil {
+	if err := checkCosts(sched, costs); err != nil {
 		return nil, schedule.StepCosts{}, err
 	}
 	return sched, costs, nil
@@ -126,10 +126,14 @@ func prepare(c hw.Cluster, m model.Transformer, p core.Plan, opt Options) (*sche
 // finite and non-negative: one of the seven StepCosts fields, or a
 // transfer riding the compute stream, which pays the stall on top of its
 // wire time. A cost model or calibration value that produces one (a NaN
-// or infinite Params field, say) has no simulated time.
-func checkCosts(p core.Plan, c schedule.StepCosts) error {
+// or infinite Params field, say) has no simulated time. Finite durations
+// can still overflow the batch time, so it bounds that too: every op
+// starts at 0 or at another op's end, so the makespan is at most the sum
+// of the charged durations — at most the largest one times the op count
+// of the checked programs, each op counted with its transfer.
+func checkCosts(s *schedule.Schedule, c schedule.StepCosts) error {
 	transfer := c.Transfer
-	if pp, _ := schedule.SideStreams(p); !pp {
+	if pp, _ := schedule.SideStreams(s.Plan); !pp {
 		transfer += c.PPStall
 	}
 	for _, d := range [...]struct {
@@ -140,6 +144,14 @@ func checkCosts(p core.Plan, c schedule.StepCosts) error {
 		if d.v < 0 || math.IsNaN(d.v) || math.IsInf(d.v, 0) {
 			return fmt.Errorf("engine: invalid %s duration %v", d.name, d.v)
 		}
+	}
+	ops := 0
+	for _, prog := range s.Devices {
+		ops += len(prog)
+	}
+	largest := max(c.Fwd, c.Bwd, transfer, c.Reduce, c.Restore, c.Opt)
+	if math.IsInf(largest*float64(2*ops), 0) {
+		return fmt.Errorf("engine: batch time overflows: %d ops of up to %v s each", ops, largest)
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"bfpp/internal/core"
+	"bfpp/internal/cost"
 	"bfpp/internal/hw"
 	"bfpp/internal/model"
 	"bfpp/internal/schedule"
@@ -153,5 +154,32 @@ func TestInvalidCostsError(t *testing.T) {
 		if perr := Precheck(c, m, p, opt); perr == nil || perr.Error() != err.Error() {
 			t.Errorf("KernelLaunch %v: Precheck error %v, SimulateOpts error %v", v, perr, err)
 		}
+	}
+}
+
+// A calibration profile can pass Profile.Validate with every derived
+// duration finite and still overflow the batch time: a kernel launch of
+// 1.79e308 s is finite, but the replay's sums of it are not. SimulateOpts
+// and Precheck reject the plan with the same error instead of reporting an
+// infinite batch time.
+func TestOverflowingCostsError(t *testing.T) {
+	c := hw.PaperCluster()
+	m := model.Model6p6B()
+	p := core.Plan{Method: core.BreadthFirst, DP: 1, PP: 8, TP: 8,
+		MicroBatch: 1, NumMicro: 8, Loops: 4, OverlapDP: true, OverlapPP: true}
+	prof := cost.DefaultProfile()
+	prof.KernelLaunch = 1.79e308
+	if err := prof.Validate(); err != nil {
+		t.Fatalf("profile rejected by Validate: %v", err)
+	}
+	par := Defaults()
+	par.Model = cost.Calibrated(prof)
+	opt := Options{Params: &par}
+	r, err := SimulateOpts(c, m, p, opt)
+	if err == nil {
+		t.Fatalf("SimulateOpts returned no error (batch time %v)", r.BatchTime)
+	}
+	if perr := Precheck(c, m, p, opt); perr == nil || perr.Error() != err.Error() {
+		t.Errorf("Precheck error %v, SimulateOpts error %v", perr, err)
 	}
 }

@@ -15,8 +15,8 @@ import (
 // A.1 searched on V100 LargeClusters, over every registered family — so
 // the per-grid-point V-schedule in-flight caps and the Section 4.2 hybrid
 // sequence lengths are enumerated too — with the branch-and-bound pruning
-// statistics (candidates enumerated / dominated / bounded out / simulated)
-// that make these sweeps tractable reported per scenario.
+// statistics (candidates enumerated / bounded out / simulated) that make
+// these sweeps tractable reported per scenario.
 func AppendixELarge(ctx context.Context, cfg Config) (string, error) {
 	fams := cfg.allFams()
 	var b strings.Builder

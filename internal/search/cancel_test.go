@@ -5,17 +5,20 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"bfpp/internal/fault"
 	"bfpp/internal/hw"
 	"bfpp/internal/model"
 )
 
 // TestSweepAllCancelMidFlight cancels a sweep from inside its own progress
-// callback and asserts it returns context.Canceled within a bounded
-// wall-clock time and leaks no pool goroutines.
+// callback and asserts it stops short of completion, returns
+// context.Canceled within a bounded time of the cancel() call and leaks no
+// pool goroutines.
 func TestSweepAllCancelMidFlight(t *testing.T) {
 	c := hw.PaperCluster()
 	m := model.Model6p6B()
@@ -24,26 +27,33 @@ func TestSweepAllCancelMidFlight(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var calls atomic.Int64
+	var cancelledAt time.Time // written by the serialized callback, read after SweepAll returns
+	stats := &Stats{}
 	opt := Options{
 		Workers: 4,
 		NoPrune: true, // maximize remaining work so cancellation really cuts it short
+		Stats:   stats,
 		Progress: func(ProgressSnapshot) {
 			if calls.Add(1) == 3 {
+				cancelledAt = time.Now()
 				cancel()
 			}
 		},
 	}
-	start := time.Now()
 	_, err := SweepAll(ctx, c, m, AllFamilies(), []int{32, 64, 96, 128, 192, 256}, opt)
-	elapsed := time.Since(start)
+	returned := time.Now()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// "Promptly": an in-flight simulation is a few ms; the full unpruned
-	// sweep is tens of seconds. Ten seconds of slack keeps slow CI green
-	// while still distinguishing "drained" from "ran to completion".
-	if elapsed > 10*time.Second {
-		t.Errorf("cancelled sweep took %v, want prompt return", elapsed)
+	if done, enum := stats.Simulated.Load()+stats.BoundSkipped.Load(), stats.Enumerated.Load(); done >= enum {
+		t.Errorf("cancelled sweep resolved %d of %d candidates: it ran to completion", done, enum)
+	}
+	// "Promptly": an in-flight simulation is a few ms, and the pool starts
+	// no new one after the cancel. The clock starts at the cancel() call,
+	// not before the serial enumeration, so slow (-race) builds only
+	// stretch the drain.
+	if drain := returned.Sub(cancelledAt); drain > 2*time.Second {
+		t.Errorf("cancelled sweep took %v after cancel() to return, want prompt return", drain)
 	}
 	for attempt := 0; runtime.NumGoroutine() > before; attempt++ {
 		if attempt > 100 {
@@ -51,6 +61,40 @@ func TestSweepAllCancelMidFlight(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// TestSweepAllCancelDuringPrecheck cancels a sweep while its precheck
+// pass runs: the sweep returns context.Canceled and no winner, at any
+// worker count, instead of failing on results the cut pass never made.
+func TestSweepAllCancelDuringPrecheck(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		inj := &cancelOnFirstItem{cancel: cancel}
+		out, err := SweepAll(fault.With(ctx, inj), hw.PaperCluster(), model.Model6p6B(),
+			Families(), []int{64}, Options{Workers: workers})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if len(out) != 0 {
+			t.Errorf("workers=%d: a sweep cancelled before pricing returned %d families", workers, len(out))
+		}
+	}
+}
+
+// cancelOnFirstItem cancels its context when the first pool item of a
+// search arrives — the precheck pass's, when pruning is on — and injects
+// nothing.
+type cancelOnFirstItem struct {
+	once   sync.Once
+	cancel context.CancelFunc
+}
+
+func (c *cancelOnFirstItem) At(p fault.Point, _ ...int) (fault.Fault, bool) {
+	if p == fault.PoolItem {
+		c.once.Do(c.cancel)
+	}
+	return fault.Fault{}, false
 }
 
 // TestSweepAllCancelReturnsIncumbents pins graceful degradation at the

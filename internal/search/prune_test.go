@@ -2,14 +2,18 @@ package search
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"bfpp/internal/core"
+	"bfpp/internal/cost"
 	"bfpp/internal/engine"
 	"bfpp/internal/hw"
 	"bfpp/internal/memsim"
 	"bfpp/internal/model"
+	"bfpp/internal/schedule"
 )
 
 // TestPrunedSweepMatchesUnpruned is the branch-and-bound acceptance
@@ -42,7 +46,7 @@ func TestPrunedSweepMatchesUnpruned(t *testing.T) {
 		if stats.Enumerated.Load() == 0 {
 			t.Errorf("workers=%d: no candidates counted", workers)
 		}
-		if got, want := stats.Dominated.Load()+stats.BoundSkipped.Load()+stats.Simulated.Load(),
+		if got, want := stats.BoundSkipped.Load()+stats.Simulated.Load(),
 			stats.Enumerated.Load(); got != want {
 			t.Errorf("workers=%d: counters do not add up: %d skipped+simulated vs %d enumerated",
 				workers, got, want)
@@ -225,22 +229,19 @@ func TestPerFamilyStats(t *testing.T) {
 	if len(keys) != len(AllFamilies()) {
 		t.Fatalf("per-family stats cover %d families, want %d (%v)", len(keys), len(AllFamilies()), keys)
 	}
-	var enum, dom, skip, sim int64
+	var enum, skip, sim int64
 	for _, k := range keys {
 		fs := stats.Family(k)
 		enum += fs.Enumerated.Load()
-		dom += fs.Dominated.Load()
 		skip += fs.BoundSkipped.Load()
 		sim += fs.Simulated.Load()
-		if got, want := fs.Dominated.Load()+fs.BoundSkipped.Load()+fs.Simulated.Load(),
-			fs.Enumerated.Load(); got != want {
+		if got, want := fs.BoundSkipped.Load()+fs.Simulated.Load(), fs.Enumerated.Load(); got != want {
 			t.Errorf("family %s: counters do not add up: %d vs %d enumerated", k, got, want)
 		}
 		t.Logf("family %s: %v", k, fs)
 	}
-	if enum != stats.Enumerated.Load() || dom != stats.Dominated.Load() ||
-		skip != stats.BoundSkipped.Load() || sim != stats.Simulated.Load() {
-		t.Errorf("family counters do not sum to totals: %d/%d/%d/%d vs %v", enum, dom, skip, sim, &stats.FamilyStats)
+	if enum != stats.Enumerated.Load() || skip != stats.BoundSkipped.Load() || sim != stats.Simulated.Load() {
+		t.Errorf("family counters do not sum to totals: %d/%d/%d vs %v", enum, skip, sim, &stats.FamilyStats)
 	}
 	// The tentpole's acceptance: the overlapped families are now priced by
 	// the exact replay and must actually prune.
@@ -252,24 +253,71 @@ func TestPerFamilyStats(t *testing.T) {
 }
 
 // A calibration value that makes a derived duration NaN, infinite or
-// negative fails the search with an error, pruned and unpruned alike:
-// the precheck reports it before any bound could price the candidate out.
+// negative fails the search with that candidate error — never with
+// ErrInfeasible — from Optimize, Sweep and SweepAll alike, pruned and
+// unpruned, at any worker count: the precheck reports it before any bound
+// could price the candidate out. A cost model that fails only one batch
+// fails the sweep too, instead of dropping that batch's row.
 func TestInvalidCostsFailOptimize(t *testing.T) {
+	ctx := context.Background()
 	c := hw.PaperCluster()
 	m := model.Model6p6B()
 	f, ok := FamilyByKey("bf")
 	if !ok {
 		t.Fatal("breadth-first family not registered")
 	}
+	type costCase struct {
+		name string
+		par  engine.Params
+	}
+	var cases []costCase
 	for _, v := range []float64{math.NaN(), math.Inf(1), -1} {
 		par := engine.Defaults()
 		par.KernelLaunch = v
-		for _, noPrune := range []bool{false, true} {
-			_, err := Optimize(context.Background(), c, m, f, 64,
-				Options{Params: &par, Workers: 2, NoPrune: noPrune})
-			if err == nil {
-				t.Errorf("KernelLaunch %v, NoPrune %v: Optimize returned no error", v, noPrune)
+		cases = append(cases, costCase{fmt.Sprintf("KernelLaunch %v", v), par})
+	}
+	par := engine.Defaults()
+	par.Model = nanAtBatch{64}
+	cases = append(cases, costCase{"NaN fwd at batch 64", par})
+	for _, cc := range cases {
+		name, par := cc.name, cc.par
+		for _, workers := range []int{1, 4} {
+			var want [3]error // per entry point, from the unpruned run
+			for _, noPrune := range []bool{true, false} {
+				opt := Options{Params: &par, Workers: workers, NoPrune: noPrune}
+				_, errO := Optimize(ctx, c, m, f, 64, opt)
+				_, errS := Sweep(ctx, c, m, f, []int{32, 64}, opt)
+				_, errA := SweepAll(ctx, c, m, Families(), []int{32, 64}, opt)
+				for i, err := range []error{errO, errS, errA} {
+					entry := [...]string{"Optimize", "Sweep", "SweepAll"}[i]
+					switch {
+					case err == nil:
+						t.Errorf("%s, workers %d, NoPrune %v: %s returned no error", name, workers, noPrune, entry)
+					case errors.Is(err, ErrInfeasible):
+						t.Errorf("%s, workers %d, NoPrune %v: %s reported %v", name, workers, noPrune, entry, err)
+					case noPrune:
+						want[i] = err
+					case want[i] != nil && err.Error() != want[i].Error():
+						t.Errorf("%s, workers %d: pruned %s error %q != unpruned %q", name, workers, entry, err, want[i])
+					}
+				}
 			}
 		}
 	}
+}
+
+// nanAtBatch is the paper cost model with a NaN forward duration for every
+// plan of one global batch size.
+type nanAtBatch struct{ batch int }
+
+func (nanAtBatch) Name() string        { return "nan-at-batch" }
+func (nanAtBatch) Fingerprint() string { return "nan-at-batch" }
+
+func (n nanAtBatch) Derive(c hw.Cluster, m model.Transformer, p core.Plan, par cost.Params) schedule.StepCosts {
+	par.Model = nil
+	sc := cost.Derive(c, m, p, par)
+	if p.BatchSize() == n.batch {
+		sc.Fwd = math.NaN()
+	}
+	return sc
 }

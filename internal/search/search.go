@@ -24,21 +24,20 @@
 // final table.
 //
 // By default the search runs branch-and-bound (BaPipe-style) with a
-// two-tier pricing cascade. Tier 1 prices every candidate with the cheap
-// analytic floor (analytic.Floor — O(1) arithmetic, no schedule replay);
-// a deterministic warm-start pass then seeds each (family, batch) group's
-// incumbent by exactly pricing up to two seed candidates (the group's
-// cheapest-floor replayable plan, and the previous — larger-batch — group
-// winner's shape re-matched in this group), so early candidates face a
-// real bound instead of pricing against nothing. Jobs are ordered
-// cheapest-bound-first, and a candidate reaches tier 2 — the O(ops) exact
+// two-tier pricing cascade in one parallel pass. Tier 1 prices every
+// candidate with the cheap analytic floor (analytic.Floor — O(1)
+// arithmetic, no schedule replay), and jobs are ordered
+// cheapest-floor-first. A candidate reaches tier 2 — the O(ops) exact
 // multi-stream schedule replay (analytic.LowerBound, which replays the
 // candidate's prechecked device programs with the simulator's own replay,
 // so its price is the simulated batch time bit for bit for every
-// generator registering the replay hook) — only when
-// its floor fails to prune against the incumbent. Exact tier-2 prices
-// feed the incumbent immediately (the replay IS the simulated time), so
-// siblings prune before the simulation even runs.
+// generator registering the replay hook) — only when its floor fails to
+// prune against its (family, batch) group's incumbent. Exact tier-2
+// prices feed the incumbent immediately, so siblings prune before any
+// simulation runs, and the exactly-priced candidate's simulation is
+// deferred. The worker that resolves a group's last candidate settles the
+// group: it simulates the deferred candidate the incumbent names (the
+// winner) and counts every other deferred candidate as a bound skip.
 //
 // Pruning never changes results: a candidate is skipped only when the
 // admissible bound proves it cannot be the winner under the same strict
@@ -47,10 +46,11 @@
 // counts enumerated candidates — is byte-identical to the unpruned path
 // at any worker count. Errors are preserved too: every candidate is
 // prechecked (engine.Precheck, the exact pre-simulation validations)
-// before pruning may skip it, so Optimize and Sweep surface the same
-// lowest-index per-candidate error with and without pruning.
-// Options.NoPrune disables the bounds and simulates every candidate: the
-// reference the equivalence tests and the perf harness compare against.
+// before pruning may skip it, so Optimize, Sweep and SweepAll surface
+// the same per-group error (the group's lowest-index candidate error)
+// with and without pruning. Options.NoPrune disables the bounds and
+// simulates every candidate: the reference the equivalence tests and the
+// perf harness compare against.
 package search
 
 import (
@@ -253,17 +253,18 @@ type Best struct {
 
 // FamilyStats accumulates the branch-and-bound counters of one method
 // family. All fields are atomic so one record may be shared across
-// concurrent sweeps; Enumerated and Dominated are deterministic,
-// BoundSkipped and Simulated depend on worker timing (their sum with
-// Dominated always equals Enumerated).
+// concurrent sweeps; Enumerated is deterministic, BoundSkipped and
+// Simulated depend on worker timing (in a completed search their sum
+// equals Enumerated).
 type FamilyStats struct {
 	// Enumerated counts candidate plans entering the work list.
 	Enumerated atomic.Int64
-	// Dominated counts candidates removed by the deterministic warm-start
-	// pass (an exactly-priced seed sibling provably beats them).
+	// Dominated is always zero. The search has no dominance pre-pass;
+	// the field stays for the benchmark harness under bfppbench/, which
+	// reads it.
 	Dominated atomic.Int64
-	// BoundSkipped counts candidates skipped at execution time because
-	// their analytic throughput upper bound could not beat the incumbent.
+	// BoundSkipped counts candidates skipped because their analytic
+	// throughput upper bound could not beat the incumbent.
 	BoundSkipped atomic.Int64
 	// Simulated counts candidates that reached the simulation,
 	// engine.SimulateOpts (including candidates whose precheck reported an
@@ -274,13 +275,13 @@ type FamilyStats struct {
 	// O(ops) exact replay. BoundSkipped - FlooredOut candidates were
 	// replay-priced first and skipped on the exact bound.
 	FlooredOut atomic.Int64
-	// ReplayPriced counts tier-2 exact replays (including the warm-start
-	// seed replays): the O(ops) prices actually paid. The cascade's win is
-	// ReplayPriced staying far below Enumerated.
+	// ReplayPriced counts tier-2 exact replays: the O(ops) prices actually
+	// paid. The cascade's win is ReplayPriced staying far below
+	// Enumerated.
 	ReplayPriced atomic.Int64
-	// WarmStartHits counts groups whose incumbent seed came from a
-	// neighboring grid point's winner shape instead of the group's own
-	// cheapest-floor candidate.
+	// WarmStartHits is always zero. Group incumbents are not seeded from
+	// neighboring grid points; the field stays for the benchmark harness
+	// under bfppbench/, which reads it.
 	WarmStartHits atomic.Int64
 }
 
@@ -291,13 +292,13 @@ func (s *FamilyStats) PruneRate() float64 {
 	if e == 0 {
 		return 0
 	}
-	return float64(s.Dominated.Load()+s.BoundSkipped.Load()) / float64(e)
+	return float64(s.BoundSkipped.Load()) / float64(e)
 }
 
 // String summarizes the counters.
 func (s *FamilyStats) String() string {
-	return fmt.Sprintf("enumerated %d, dominated %d, bounded out %d (%d on floor alone), simulated %d, replay-priced %d (%.1f%% pruned)",
-		s.Enumerated.Load(), s.Dominated.Load(), s.BoundSkipped.Load(),
+	return fmt.Sprintf("enumerated %d, bounded out %d (%d on floor alone), simulated %d, replay-priced %d (%.1f%% pruned)",
+		s.Enumerated.Load(), s.BoundSkipped.Load(),
 		s.FlooredOut.Load(), s.Simulated.Load(), s.ReplayPriced.Load(), 100*s.PruneRate())
 }
 
@@ -343,67 +344,58 @@ func (s *Stats) FamilyKeys() []string {
 type FamilyProgress struct {
 	// Key is the family's short selection key ("bf", "ws", ...).
 	Key string `json:"key"`
-	// Enumerated, Dominated, BoundedOut and Simulated snapshot the
-	// FamilyStats counters of the same names.
+	// Enumerated, BoundedOut and Simulated snapshot the FamilyStats
+	// counters Enumerated, BoundSkipped and Simulated.
 	Enumerated int64 `json:"enumerated"`
-	Dominated  int64 `json:"dominated"`
 	BoundedOut int64 `json:"bounded_out"`
 	Simulated  int64 `json:"simulated"`
-	// FlooredOut, ReplayPriced and WarmStartHits snapshot the pricing-
-	// cascade counters of the same names.
-	FlooredOut    int64 `json:"floored_out"`
-	ReplayPriced  int64 `json:"replay_priced"`
-	WarmStartHits int64 `json:"warm_start_hits"`
+	// FlooredOut and ReplayPriced snapshot the pricing-cascade counters of
+	// the same names.
+	FlooredOut   int64 `json:"floored_out"`
+	ReplayPriced int64 `json:"replay_priced"`
 }
 
 // ProgressSnapshot is a point-in-time view of a search's pruning counters:
-// of Enumerated candidates, Dominated were removed by the warm-start
-// pass, BoundedOut were skipped against the incumbent, and Simulated
-// reached the simulator. Done/Enumerated is the search's completion
-// fraction (every candidate ends in exactly one of the three buckets).
+// of Enumerated candidates, BoundedOut were skipped against the incumbent
+// and Simulated reached the simulator. Done/Enumerated is the search's
+// completion fraction (every candidate ends in exactly one of the two
+// buckets).
 type ProgressSnapshot struct {
 	Enumerated int64 `json:"enumerated"`
-	Dominated  int64 `json:"dominated"`
 	BoundedOut int64 `json:"bounded_out"`
 	Simulated  int64 `json:"simulated"`
-	// FlooredOut, ReplayPriced and WarmStartHits expose the pricing
-	// cascade: how many skips the cheap tier-1 floor won outright, how
-	// many O(ops) exact replays were paid, and how many group incumbents
-	// were seeded from a neighboring grid point.
-	FlooredOut    int64 `json:"floored_out"`
-	ReplayPriced  int64 `json:"replay_priced"`
-	WarmStartHits int64 `json:"warm_start_hits"`
+	// FlooredOut and ReplayPriced expose the pricing cascade: how many
+	// skips the cheap tier-1 floor won outright, and how many O(ops)
+	// exact replays were paid.
+	FlooredOut   int64 `json:"floored_out"`
+	ReplayPriced int64 `json:"replay_priced"`
 	// Families is the per-family breakdown, sorted by key.
 	Families []FamilyProgress `json:"families,omitempty"`
 }
 
 // Done returns the number of candidates resolved so far.
-func (p ProgressSnapshot) Done() int64 { return p.Dominated + p.BoundedOut + p.Simulated }
+func (p ProgressSnapshot) Done() int64 { return p.BoundedOut + p.Simulated }
 
 // Snapshot captures the counters atomically enough for progress display:
 // each field is an atomic load, so a snapshot taken while workers run is a
 // consistent-per-counter view of a moment in the search.
 func (s *Stats) Snapshot() ProgressSnapshot {
 	snap := ProgressSnapshot{
-		Enumerated:    s.Enumerated.Load(),
-		Dominated:     s.Dominated.Load(),
-		BoundedOut:    s.BoundSkipped.Load(),
-		Simulated:     s.Simulated.Load(),
-		FlooredOut:    s.FlooredOut.Load(),
-		ReplayPriced:  s.ReplayPriced.Load(),
-		WarmStartHits: s.WarmStartHits.Load(),
+		Enumerated:   s.Enumerated.Load(),
+		BoundedOut:   s.BoundSkipped.Load(),
+		Simulated:    s.Simulated.Load(),
+		FlooredOut:   s.FlooredOut.Load(),
+		ReplayPriced: s.ReplayPriced.Load(),
 	}
 	for _, key := range s.FamilyKeys() {
 		fs := s.Family(key)
 		snap.Families = append(snap.Families, FamilyProgress{
-			Key:           key,
-			Enumerated:    fs.Enumerated.Load(),
-			Dominated:     fs.Dominated.Load(),
-			BoundedOut:    fs.BoundSkipped.Load(),
-			Simulated:     fs.Simulated.Load(),
-			FlooredOut:    fs.FlooredOut.Load(),
-			ReplayPriced:  fs.ReplayPriced.Load(),
-			WarmStartHits: fs.WarmStartHits.Load(),
+			Key:          key,
+			Enumerated:   fs.Enumerated.Load(),
+			BoundedOut:   fs.BoundSkipped.Load(),
+			Simulated:    fs.Simulated.Load(),
+			FlooredOut:   fs.FlooredOut.Load(),
+			ReplayPriced: fs.ReplayPriced.Load(),
 		})
 	}
 	return snap
@@ -421,78 +413,66 @@ type Options struct {
 	// byte-identical results.
 	Workers int
 	// NoPrune disables the analytic branch-and-bound (the pricing
-	// cascade, warm-started incumbents, dominance marking, incumbent
-	// skipping) and simulates every candidate. Results are identical
-	// either way; the equivalence tests use it as their reference and the
-	// perf harness as the pruning speedup denominator.
+	// cascade and incumbent skipping) and simulates every candidate.
+	// Results are identical either way; the equivalence tests use it as
+	// their reference and the perf harness as the pruning speedup
+	// denominator.
 	NoPrune bool
 	// Stats, when non-nil, accumulates the pruning counters of this
 	// search — totals plus a per-family breakdown (Stats.Family).
 	Stats *Stats
 	// Progress, when non-nil, receives counter snapshots while the search
-	// runs: after enumeration, after the warm-start pass, periodically
-	// as candidates resolve (at least every progressStride resolutions)
-	// and once in the terminal state. Invocations are serialized by the
-	// search, so the callback itself needs no locking; it runs on worker
-	// goroutines and must return quickly (throttle expensive sinks on the
-	// caller side). Progress does not require Stats: a private counter set
-	// is used when Stats is nil.
+	// runs: after enumeration, periodically as candidates resolve (at
+	// least every progressStride resolutions) and once in the terminal
+	// state. Invocations are serialized by the search, so the callback
+	// itself needs no locking; it runs on worker goroutines and must
+	// return quickly (throttle expensive sinks on the caller side).
+	// Progress does not require Stats: a private counter set is used when
+	// Stats is nil.
 	Progress func(ProgressSnapshot)
 	// Checkpoint, when non-nil, receives each (family, batch) group's
-	// winner at the moment the group's last candidate resolves — while
-	// the rest of the sweep is still running. It is the sweep-journaling
-	// hook: a caller that durably records every (GroupKey, Best) it
-	// receives can, after a crash, restart the sweep with those records
-	// as Resume and re-price only the unfinished groups. Invocations are
-	// serialized by the search (no locking needed in the callback); they
-	// run on worker goroutines, so expensive sinks should buffer.
-	// Groups that error, find no feasible configuration, or are cut off
-	// by cancellation are not checkpointed. The callback never fires for
-	// groups satisfied from Resume.
+	// winner when the group settles — while the rest of the sweep is
+	// still running. It is the sweep-journaling hook: a caller that
+	// durably records every (GroupKey, Best) it receives can, after a
+	// crash, restart the sweep with those records as Resume and re-price
+	// only the unfinished groups. Invocations are serialized by the
+	// search (no locking needed in the callback); they run on worker
+	// goroutines, so expensive sinks should buffer. Groups that error,
+	// find no feasible configuration, or are cut off by cancellation are
+	// not checkpointed. The callback never fires for groups satisfied
+	// from Resume.
 	Checkpoint func(GroupKey, Best)
 	// Resume maps already-resolved groups to their journaled winners.
 	// A group found here is not enumerated or priced at all — its Best
 	// is returned as recorded — so a resumed sweep pays only for the
 	// groups the original run had not finished. Because each group's
-	// winner is deterministic and independent of every other group
-	// (warm-start seeds never change winners, only pricing effort), the
-	// resumed table is byte-identical to an uninterrupted run's.
+	// winner is deterministic and independent of every other group (no
+	// price crosses a group boundary), the resumed table is
+	// byte-identical to an uninterrupted run's.
 	Resume map[GroupKey]Best
 }
 
 // progressStride is how many candidate resolutions may pass between two
-// Progress snapshots (milestones — enumeration, warm start, the terminal
-// state — always emit).
+// Progress snapshots (milestones — enumeration and the terminal state —
+// always emit).
 const progressStride = 16
 
 // Optimize searches one family at one global batch size and returns the
-// most efficient feasible configuration. Candidate plans are simulated
-// concurrently on Options.Workers goroutines; the winner is the
-// lowest-indexed plan (in Enumerate order) of maximal throughput, matching
-// the serial path tie-for-tie. Cancelling ctx aborts the search between
-// candidate simulations and returns ctx.Err().
+// most efficient feasible configuration. It is Sweep over the one batch:
+// candidate plans are simulated concurrently on Options.Workers
+// goroutines, and the winner is the lowest-indexed plan (in Enumerate
+// order) of maximal throughput, matching the serial path tie-for-tie.
+// Cancelling ctx aborts the search between candidate simulations and
+// returns ctx.Err().
 func Optimize(ctx context.Context, c hw.Cluster, m model.Transformer, f Family, batch int, opt Options) (Best, error) {
-	if opt.MaxMicroBatch <= 0 {
-		opt.MaxMicroBatch = 16
-	}
-	if b, ok := opt.Resume[GroupKey{Family: f.Info().Key, Batch: batch}]; ok {
-		return b, nil
-	}
-	plans := Enumerate(ctx, c, m, f, batch, opt)
-	if err := ctx.Err(); err != nil {
-		return Best{}, err
-	}
-	if len(plans) == 0 {
+	bests, err := Sweep(ctx, c, m, f, []int{batch}, opt)
+	switch {
+	case errors.Is(err, ErrInfeasible):
 		return Best{}, fmt.Errorf("search: %w for %v at batch %d", ErrInfeasible, f, batch)
-	}
-	bests, errs, err := evalGroups(ctx, c, m, [][]core.Plan{plans}, []string{f.Info().Key}, opt)
-	if err != nil {
+	case err != nil:
 		return Best{}, err
 	}
-	if errs[0] != nil {
-		return Best{}, errs[0]
-	}
-	return *bests[0], nil
+	return bests[0], nil
 }
 
 // pickBest selects the winner deterministically: the first result (in
@@ -518,9 +498,8 @@ type job struct {
 	flop     float64 // BatchFlopPerGPU, shared by the cascade's two pricings
 	exact    bool    // the bound equals the simulated time bit for bit
 	replay   bool    // the method has a tier-2 exact replay (StepLB hook)
-	prune    bool    // dominated by its group's warm-start seed
 	failed   bool    // precheck reported the error a simulation would
-	deferred bool    // exactly priced, simulation deferred to the final pass
+	deferred bool    // exactly priced; simulated when its group settles, if it won
 }
 
 // incumbent is the shared best-simulated-so-far record of one group. Its
@@ -557,27 +536,50 @@ type simOut struct {
 	err error
 }
 
+// reduce picks one group's winner from its slots of the result table: the
+// lowest-index candidate error if any candidate failed, else pickBest over
+// the simulated candidates (nil when none ran). Skipped candidates
+// provably cannot win, so this is the unpruned selection rule.
+func reduce(seg []simOut) (*Best, error) {
+	var ran []engine.Result
+	for i := range seg {
+		if seg[i].err != nil {
+			return nil, seg[i].err
+		}
+		if seg[i].ran {
+			ran = append(ran, seg[i].res)
+		}
+	}
+	if len(ran) == 0 {
+		return nil, nil
+	}
+	b := pickBest(ran)
+	b.Configs = len(seg)
+	return &b, nil
+}
+
 // evalGroups evaluates the candidate groups (one per (family, batch), with
 // keys carrying each group's family key for the per-family statistics)
 // over one shared worker pool and reduces each to its winner. It returns
-// one Best per group (nil when the group is empty or a simulation failed)
-// and the lowest-indexed per-group error; the final error is non-nil only
+// one Best per group (nil when the group is empty or failed) and each
+// group's lowest-index candidate error; the final error is non-nil only
 // when ctx was cancelled. Even then the per-group results are returned:
 // each reflects only fully-simulated candidates, so a group's Best is its
 // incumbent-so-far — a valid (if possibly non-optimal) configuration that
 // callers surfacing graceful degradation may report alongside the error.
-// With pruning active, candidates
-// are prechecked (so a candidate whose simulation would error reports it
-// even when the bounds would have skipped it), priced by the tier-1
-// analytic floor, ordered cheapest-bound-first, warm-start-seeded per
-// group, and skipped against the group incumbent — paying the tier-2
-// exact replay only for candidates the floor fails to settle; the winner
-// — and the lowest-index error — is provably the one the unpruned path
-// reports either way.
+//
+// With pruning active, a first parallel pass prechecks every candidate (so
+// a candidate whose simulation would error reports it even when the bounds
+// would have skipped it) and prices it with the tier-1 analytic floor. The
+// pricing pass then takes the candidates cheapest-floor-first, skips each
+// one its group's incumbent covers, and pays the tier-2 exact replay only
+// for candidates the floor fails to settle. The worker that resolves a
+// group's last candidate settles the group. The winner — and the
+// lowest-index error — is provably the one the unpruned path reports.
 func evalGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [][]core.Plan, keys []string, opt Options) ([]*Best, []error, error) {
-	if opt.Stats == nil && opt.Progress != nil {
-		// Progress is built on the counters; give it a private set when the
-		// caller did not ask to keep them.
+	if opt.Stats == nil {
+		// Progress is built on the counters; a private set stands in when
+		// the caller did not ask to keep them.
 		opt.Stats = &Stats{}
 	}
 	// Progress invocations are serialized so the callback needs no locking
@@ -607,15 +609,15 @@ func evalGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 		}
 		bounds = append(bounds, len(jobs))
 	}
+	// Each group's pending counter falls by one as each of its candidates
+	// resolves: simulated, bound-skipped, failed at precheck or deferred.
 	famStats := make([]*FamilyStats, len(groups))
-	if opt.Stats != nil {
-		opt.Stats.Enumerated.Add(int64(len(jobs)))
-		for gi := range groups {
-			if keys[gi] != "" {
-				famStats[gi] = opt.Stats.Family(keys[gi])
-				famStats[gi].Enumerated.Add(int64(len(groups[gi])))
-			}
-		}
+	pending := make([]atomic.Int64, len(groups))
+	opt.Stats.Enumerated.Add(int64(len(jobs)))
+	for gi, g := range groups {
+		famStats[gi] = opt.Stats.Family(keys[gi])
+		famStats[gi].Enumerated.Add(int64(len(g)))
+		pending[gi].Store(int64(len(g)))
 	}
 
 	progress(true) // enumeration counted: the 0%-done snapshot
@@ -628,47 +630,7 @@ func evalGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 	workers := parallel.Resolve(opt.Workers)
 	eopt := engine.Options{Params: opt.Params}
 	outs := make([]simOut, len(jobs))
-	lbs := make([]float64, len(jobs))
 	incs := make([]incumbent, len(groups))
-	// Checkpoint support: each group carries a pending-candidate counter,
-	// decremented exactly once per candidate at its terminal resolution
-	// point (simulated, bound-skipped, dominated, or failed). The worker
-	// that takes a counter to zero owns the group's reduction: the atomic
-	// decrement orders it after every sibling's outs[] write, so the scan
-	// below sees the complete segment. Cancelled runs leave unfinished
-	// groups above zero — exactly the groups that must not be journaled.
-	resolve := func(int) {}
-	if opt.Checkpoint != nil {
-		var checkpointMu sync.Mutex
-		pending := make([]atomic.Int64, len(groups))
-		for gi := range groups {
-			pending[gi].Store(int64(bounds[gi+1] - bounds[gi]))
-		}
-		resolve = func(gi int) {
-			if pending[gi].Add(-1) != 0 {
-				return
-			}
-			seg := outs[bounds[gi]:bounds[gi+1]]
-			ran := make([]engine.Result, 0, 4)
-			for i := range seg {
-				if seg[i].err != nil {
-					return // errored groups re-run on resume
-				}
-				if seg[i].ran {
-					ran = append(ran, seg[i].res)
-				}
-			}
-			if len(ran) == 0 {
-				return // nothing feasible: nothing worth journaling
-			}
-			b := pickBest(ran)
-			b.Configs = len(seg)
-			key := GroupKey{Family: keys[gi], Batch: groups[gi][0].BatchSize()}
-			checkpointMu.Lock()
-			defer checkpointMu.Unlock()
-			opt.Checkpoint(key, b)
-		}
-	}
 	par := engine.Defaults()
 	if opt.Params != nil {
 		par = *opt.Params
@@ -679,7 +641,10 @@ func evalGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 		// deterministic). Recording precheck failures here, before any
 		// pruning decision, is what makes the per-candidate errors
 		// independent of pruning: the failing candidate reports even when
-		// the bounds would have skipped its simulation.
+		// the bounds would have skipped its simulation. A cancelled pass
+		// leaves the pricing pass below nothing to start: its MapCtx
+		// returns ctx.Err() before the first item.
+		lbs := make([]float64, len(jobs))
 		parallel.MapCtx(ctx, workers, jobs, func(i int, _ job) (struct{}, error) {
 			j := &jobs[i]
 			if err := engine.Precheck(c, m, j.plan, eopt); err != nil {
@@ -689,7 +654,7 @@ func evalGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 			}
 			j.flop = m.BatchFlopPerGPU(j.plan.MicroBatch, j.plan.NumMicro, j.plan.PP, j.plan.TP)
 			// Tier 1: the cheap floor. Whether an exact tier-2 price exists
-			// is a trait of the method, recorded for the execution pass.
+			// is a trait of the method, recorded for the pricing pass.
 			tr := schedule.TraitsOf(j.plan.Method)
 			j.replay = tr.StepLB != nil || tr.StepLBCached != nil
 			lb := analytic.Floor(c, m, j.plan, &par)
@@ -701,385 +666,142 @@ func evalGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 			}
 			return struct{}{}, nil
 		})
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		if err := seedGroups(ctx, c, m, groups, keys, jobs, bounds, lbs, incs, &par, famStats, opt.Stats); err != nil {
-			return nil, nil, err
-		}
-		progress(true) // the seed pass resolved its share of the candidates
 		// Cheapest (fastest-looking) bound first, stable on the flat
-		// enumeration order: the likely winners simulate early and the
+		// enumeration order: the likely winners are priced early and the
 		// incumbent tightens before the long tail is reached.
 		sort.SliceStable(order, func(a, b int) bool { return lbs[order[a]] < lbs[order[b]] })
 	}
 
 	countSim := func(j *job) {
-		if opt.Stats != nil {
-			opt.Stats.Simulated.Add(1)
-			if fs := famStats[j.group]; fs != nil {
-				fs.Simulated.Add(1)
-			}
-		}
+		opt.Stats.Simulated.Add(1)
+		famStats[j.group].Simulated.Add(1)
+		progress(false)
 	}
 	countSkip := func(j *job) {
-		if opt.Stats != nil {
-			opt.Stats.BoundSkipped.Add(1)
-			fs := famStats[j.group]
-			if fs != nil {
-				fs.BoundSkipped.Add(1)
-			}
-			if !j.exact {
-				// Skipped on the tier-1 floor alone: the candidate never
-				// paid an exact replay.
-				opt.Stats.FlooredOut.Add(1)
-				if fs != nil {
-					fs.FlooredOut.Add(1)
+		opt.Stats.BoundSkipped.Add(1)
+		famStats[j.group].BoundSkipped.Add(1)
+		if !j.exact {
+			// Skipped on the tier-1 floor alone: the candidate never paid
+			// an exact replay.
+			opt.Stats.FlooredOut.Add(1)
+			famStats[j.group].FlooredOut.Add(1)
+		}
+		progress(false)
+	}
+	simulate := func(ji int) {
+		j := &jobs[ji]
+		r, err := engine.SimulateOpts(c, m, j.plan, eopt)
+		countSim(j) // reached the simulator, error or not
+		if err != nil {
+			// Enumeration bugs should surface loudly; feasibility issues
+			// are filtered beforehand, and the precheck already guarantees
+			// pruning cannot mask this error.
+			outs[ji].err = fmt.Errorf("search: %v: %w", j.plan, err)
+			return
+		}
+		outs[ji] = simOut{res: r, ran: true}
+		incs[j.group].update(r.Throughput, j.idx)
+	}
+	// settle runs once per group, on the worker that takes the group's
+	// pending counter to zero: the atomic decrement orders it after every
+	// sibling's writes, so the group's jobs, results and incumbent are
+	// final. Every deferred candidate was published to the incumbent at
+	// its exact price, which is its simulated throughput bit for bit, so
+	// the incumbent covers all of them but the one it names: that one
+	// simulates (it is the winner), the rest are bound skips. A cancelled
+	// run settles nothing, so a cut-off group is never checkpointed.
+	var checkpointMu sync.Mutex
+	settle := func(gi int) {
+		if pending[gi].Add(-1) != 0 || ctx.Err() != nil {
+			return
+		}
+		for ji := bounds[gi]; ji < bounds[gi+1]; ji++ {
+			if j := &jobs[ji]; j.deferred {
+				if incs[gi].covers(j.ub, j.idx) {
+					countSkip(j)
+				} else {
+					simulate(ji)
 				}
 			}
+		}
+		if opt.Checkpoint == nil {
+			return
+		}
+		// Errored groups re-run on resume; a group with nothing simulated
+		// has nothing worth journaling.
+		if b, err := reduce(outs[bounds[gi]:bounds[gi+1]]); err == nil && b != nil {
+			checkpointMu.Lock()
+			defer checkpointMu.Unlock()
+			opt.Checkpoint(GroupKey{Family: keys[gi], Batch: groups[gi][0].BatchSize()}, *b)
 		}
 	}
 	_, ctxErr := parallel.MapCtx(ctx, workers, order, func(_ int, ji int) (struct{}, error) {
 		j := &jobs[ji]
-		if j.failed {
-			// The precheck already recorded the exact error the simulation
-			// would produce; count it as simulated, which is what the
-			// unpruned path would have done.
-			countSim(j)
-			progress(false)
-			resolve(j.group)
-			return struct{}{}, nil
-		}
-		if j.prune {
-			resolve(j.group)
-			return struct{}{}, nil
-		}
-		if prune && incs[j.group].covers(j.ub, j.idx) {
-			countSkip(j)
-			progress(false)
-			resolve(j.group)
-			return struct{}{}, nil
-		}
-		if prune && j.replay && !j.exact {
+		if prune && j.replay && !j.failed && !incs[j.group].covers(j.ub, j.idx) {
 			// Tier 2: the floor failed to settle this candidate against the
 			// incumbent; pay the exact O(ops) replay once. Both tiers are
 			// admissible, so tightening the bound here can only turn "maybe"
 			// into "provably not the winner" — never the other way.
 			lb, exact := analytic.LowerBound(c, m, j.plan, &par)
-			if opt.Stats != nil {
-				opt.Stats.ReplayPriced.Add(1)
-				if fs := famStats[j.group]; fs != nil {
-					fs.ReplayPriced.Add(1)
-				}
-			}
+			opt.Stats.ReplayPriced.Add(1)
+			famStats[j.group].ReplayPriced.Add(1)
 			if lb > 0 {
 				j.ub = j.flop / lb
 			} else {
 				j.ub = math.Inf(1)
 			}
-			j.exact = exact
-			if exact {
+			if j.exact = exact; exact {
 				// The replay is the simulated time bit for bit, so the ub
-				// is this candidate's true throughput: publish it before
-				// simulating so siblings prune against it immediately.
+				// is this candidate's true throughput: publish it so
+				// siblings prune against it immediately.
 				incs[j.group].update(j.ub, j.idx)
 			}
-			if incs[j.group].covers(j.ub, j.idx) {
-				countSkip(j)
-				progress(false)
-				resolve(j.group)
-				return struct{}{}, nil
-			}
 		}
-		if prune && j.exact {
-			// The exact price IS the simulated time, so nothing more is
-			// learned by simulating now; defer the simulation to the final
-			// pass, which runs it only if the candidate still survives the
-			// fully-tightened incumbent (one simulation per group in the
-			// common case — the others resolve to bound skips).
+		switch {
+		case j.failed:
+			// The precheck already recorded the exact error the simulation
+			// would produce; count it as simulated, which is what the
+			// unpruned path would have done.
+			countSim(j)
+		case prune && incs[j.group].covers(j.ub, j.idx):
+			countSkip(j)
+		case prune && j.exact:
+			// Simulating now would learn nothing the exact price has not;
+			// the group's settle simulates the candidate if it wins.
 			j.deferred = true
-			return struct{}{}, nil
+		default:
+			simulate(ji)
 		}
-		r, err := engine.SimulateOpts(c, m, j.plan, eopt)
-		countSim(j) // reached the simulator, error or not
-		progress(false)
-		if err != nil {
-			// Enumeration bugs should surface loudly; feasibility issues
-			// are filtered beforehand, and the precheck above already
-			// guarantees pruning cannot mask this error.
-			outs[ji].err = fmt.Errorf("search: %v: %w", j.plan, err)
-			resolve(j.group)
-			return struct{}{}, nil
-		}
-		outs[ji] = simOut{res: r, ran: true}
-		if prune {
-			incs[j.group].update(r.Throughput, j.idx)
-		}
-		resolve(j.group)
+		settle(j.group)
 		return struct{}{}, nil
 	})
-	if prune && ctxErr == nil {
-		// Final pass over the deferred exactly-priced candidates, best
-		// first per group: the leader simulates (producing the full
-		// engine.Result the winner needs), which makes every remaining
-		// deferred sibling a bound skip — their exact prices cannot beat a
-		// published true throughput of equal value and lower index. Ties
-		// are ordered index-ascending, so the lowest-index max simulates
-		// and the rest skip, preserving the pickBest rule exactly.
-	deferredGroups:
-		for gi := range groups {
-			seg := jobs[bounds[gi]:bounds[gi+1]]
-			var pend []int
-			for i := range seg {
-				if seg[i].deferred {
-					pend = append(pend, i)
-				}
-			}
-			sort.Slice(pend, func(a, b int) bool {
-				ja, jb := &seg[pend[a]], &seg[pend[b]]
-				if ja.ub != jb.ub {
-					return ja.ub > jb.ub
-				}
-				return ja.idx < jb.idx
-			})
-			for _, i := range pend {
-				if err := ctx.Err(); err != nil {
-					ctxErr = err
-					break deferredGroups
-				}
-				j := &seg[i]
-				if incs[gi].covers(j.ub, j.idx) {
-					countSkip(j)
-					progress(false)
-					resolve(gi)
-					continue
-				}
-				r, err := engine.SimulateOpts(c, m, j.plan, eopt)
-				countSim(j)
-				progress(false)
-				if err != nil {
-					outs[bounds[gi]+i].err = fmt.Errorf("search: %v: %w", j.plan, err)
-					resolve(gi)
-					continue
-				}
-				outs[bounds[gi]+i] = simOut{res: r, ran: true}
-				incs[gi].update(r.Throughput, j.idx)
-				resolve(gi)
-			}
-		}
-	}
 	progress(true) // terminal snapshot (100% unless ctx cancelled the run)
 
 	bests := make([]*Best, len(groups))
 	errs := make([]error, len(groups))
-	var ran []engine.Result
 	for gi := range groups {
-		seg := outs[bounds[gi]:bounds[gi+1]]
-		ran = ran[:0] // simulated results in enumeration order
-		for i := range seg {
-			if seg[i].err != nil {
-				errs[gi] = seg[i].err
-				ran = ran[:0]
-				break
-			}
-			if seg[i].ran {
-				ran = append(ran, seg[i].res)
-			}
-		}
-		if len(ran) > 0 {
-			// Skipped candidates provably cannot win, so pickBest over the
-			// simulated subset applies the exact serial selection rule.
-			b := pickBest(ran)
-			b.Configs = len(seg)
-			bests[gi] = &b
-		}
+		bests[gi], errs[gi] = reduce(outs[bounds[gi]:bounds[gi+1]])
 	}
 	return bests, errs, ctxErr
 }
 
-// matchShape reports whether two plans differ at most in the
-// batch-dependent NumMicro field — the "same grid point, different batch"
-// relation the warm-start pass uses to re-find a neighboring group's
-// winner shape among this group's candidates.
-func matchShape(a, b core.Plan) bool {
-	a.NumMicro, b.NumMicro = 0, 0
-	return a == b
-}
-
-// seedGroups warm-starts each group's incumbent before the execution pass
-// runs: it exactly prices up to two seed candidates per group — the
-// group's own cheapest-floor replayable candidate, and (within a family,
-// descending batch order) the previous group's best seed's plan shape
-// re-matched in this group — publishes the best seed's true throughput as
-// the group incumbent, and dominance-marks the candidates whose floor
-// bound already falls below it. Soundness never relies on a neighbor's
-// throughput *value* (which belongs to a different batch): the neighbor
-// only nominates which candidate to price exactly here, and the published
-// incumbent is always a bit-exact replay of a candidate of this very
-// group, so the covers/update invariant is untouched. The pass is serial
-// and depends only on the enumeration, the floors and the replays, so the
-// Dominated counter stays deterministic at any worker count. Groups with
-// no replayable candidate (the list-scheduled V-schedule family) get no
-// seed and start against an empty incumbent.
-func seedGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [][]core.Plan, keys []string, jobs []job, bounds []int, lbs []float64, incs []incumbent, par *engine.Params, famStats []*FamilyStats, stats *Stats) error {
-	// Family key ascending, batch descending: the largest batch resolves
-	// first, so its winner shape — typically stable across adjacent grid
-	// points — seeds the smaller batches of the same family.
-	order := make([]int, 0, len(groups))
-	for gi := range groups {
-		if len(groups[gi]) > 0 {
-			order = append(order, gi)
-		}
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ga, gb := order[a], order[b]
-		if keys[ga] != keys[gb] {
-			return keys[ga] < keys[gb]
-		}
-		return groups[ga][0].BatchSize() > groups[gb][0].BatchSize()
-	})
-	prevWinner := map[string]core.Plan{}
-	for _, gi := range order {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		seg := jobs[bounds[gi]:bounds[gi+1]]
-		// Own seed: the replayable candidate with the smallest floor (the
-		// fastest-looking one; strict < keeps the lowest index on ties).
-		own := -1
-		for i := range seg {
-			if seg[i].failed || !seg[i].replay {
-				continue
-			}
-			if own < 0 || lbs[bounds[gi]+i] < lbs[bounds[gi]+own] {
-				own = i
-			}
-		}
-		// Neighbor seed: the adjacent group's winner shape, if it exists
-		// among this group's candidates (lowest index on ambiguity, which
-		// cannot arise for distinct enumerated plans).
-		neighbor := -1
-		if prev, ok := prevWinner[keys[gi]]; ok {
-			for i := range seg {
-				if seg[i].failed || !seg[i].replay || i == own {
-					continue
-				}
-				if matchShape(seg[i].plan, prev) {
-					neighbor = i
-					break
-				}
-			}
-		}
-		// Price the seeds exactly; a seed priced only by its floor (no
-		// checked schedule) is discarded.
-		price := func(i int) (float64, bool) {
-			if i < 0 {
-				return 0, false
-			}
-			j := &seg[i]
-			lb, exact := analytic.LowerBound(c, m, j.plan, par)
-			if stats != nil {
-				stats.ReplayPriced.Add(1)
-				if fs := famStats[gi]; fs != nil {
-					fs.ReplayPriced.Add(1)
-				}
-			}
-			if !exact || lb <= 0 {
-				return 0, false
-			}
-			j.ub = j.flop / lb
-			j.exact = true
-			return j.ub, true
-		}
-		ownUb, ownOK := price(own)
-		nbUb, nbOK := price(neighbor)
-		best, bestUb := -1, 0.0
-		if ownOK {
-			best, bestUb = own, ownUb
-		}
-		if nbOK && (!ownOK || nbUb > ownUb || (nbUb == ownUb && seg[neighbor].idx < seg[own].idx)) {
-			best, bestUb = neighbor, nbUb
-			if stats != nil {
-				stats.WarmStartHits.Add(1)
-				if fs := famStats[gi]; fs != nil {
-					fs.WarmStartHits.Add(1)
-				}
-			}
-		}
-		if best < 0 {
-			continue
-		}
-		incs[gi].update(bestUb, seg[best].idx)
-		// Dominance against the seed's true throughput: a candidate whose
-		// admissible upper bound falls below it — or ties it from a higher
-		// index — can never win under the pickBest rule. Candidates whose
-		// precheck failed carry no bound and are left alone: their error
-		// must surface regardless of pruning.
-		for i := range seg {
-			j := &seg[i]
-			if j.failed {
-				continue
-			}
-			if j.ub < bestUb || (j.ub == bestUb && seg[best].idx < j.idx) {
-				j.prune = true
-				if stats != nil {
-					stats.Dominated.Add(1)
-					if fs := famStats[gi]; fs != nil {
-						fs.Dominated.Add(1)
-					}
-				}
-			}
-		}
-		prevWinner[keys[gi]] = seg[best].plan
-	}
-	return nil
-}
-
 // Sweep runs the family's search across batch sizes, skipping batches with
 // no feasible configuration, and returns the Figure 7 series in batch
-// order. All batches' candidate plans are flattened into one work list
-// evaluated by a single worker pool, so Options.Workers is a true bound on
-// concurrent simulations (no nested fan-out) and no barrier separates
-// batches. Results are identical to calling Optimize per batch. Cancelling
-// ctx aborts the sweep between candidate simulations and returns the
-// incumbents-so-far (each batch's best fully-simulated candidate) alongside
-// ctx.Err(); callers that cannot use a partial table must discard it.
+// order. It is SweepAll over the one family: all batches' candidate plans
+// share one work list on a single worker pool, so Options.Workers is a
+// true bound on concurrent simulations and no barrier separates batches.
+// Results are identical to calling Optimize per batch, and a failing
+// batch fails the sweep with the error of the first failing batch in
+// the order given. Cancelling ctx aborts the sweep between candidate
+// simulations and returns the incumbents-so-far (each batch's best
+// fully-simulated candidate) alongside ctx.Err(); callers that cannot use
+// a partial table must discard it.
 func Sweep(ctx context.Context, c hw.Cluster, m model.Transformer, f Family, batches []int, opt Options) ([]Best, error) {
-	if opt.MaxMicroBatch <= 0 {
-		opt.MaxMicroBatch = 16
-	}
-	key := f.Info().Key
-	resumed := make([]*Best, len(batches))
-	var groups [][]core.Plan
-	var keys []string
-	gi := make([]int, len(batches))
-	for bi, b := range batches {
-		if rb, ok := opt.Resume[GroupKey{Family: key, Batch: b}]; ok {
-			rb := rb
-			resumed[bi] = &rb
-			gi[bi] = -1
-			continue
-		}
-		gi[bi] = len(groups)
-		groups = append(groups, Enumerate(ctx, c, m, f, b, opt))
-		keys = append(keys, key)
-	}
-	bests, _, err := evalGroups(ctx, c, m, groups, keys, opt)
-	var out []Best
-	for bi := range batches {
-		if resumed[bi] != nil {
-			out = append(out, *resumed[bi])
-		} else if b := bests[gi[bi]]; b != nil {
-			out = append(out, *b)
-		}
-	}
-	if err != nil {
-		return out, err
-	}
-	if len(out) == 0 {
+	out, err := SweepAll(ctx, c, m, []Family{f}, batches, opt)
+	if errors.Is(err, ErrInfeasible) {
 		return nil, fmt.Errorf("search: %w for %v at any batch", ErrInfeasible, f)
 	}
-	return out, nil
+	return out[f], err
 }
 
 // SweepAll runs the sweeps of several families over one shared work list:
@@ -1088,54 +810,54 @@ func Sweep(ctx context.Context, c hw.Cluster, m model.Transformer, f Family, bat
 // leaves workers idle while another family's long tail drains, and the
 // branch-and-bound incumbents stay per (family, batch) group. Results are
 // identical to calling Sweep per family; families with no feasible
-// configuration at any batch are omitted from the map, and an error is
-// returned only when that leaves the map empty. Cancelling ctx aborts the
-// sweep between candidate simulations and returns the incumbents-so-far —
-// each (family, batch) group's best fully-simulated candidate, a valid if
-// possibly non-optimal configuration — alongside ctx.Err(). The service
-// layer turns that partial map into a degraded response on deadline;
-// callers that cannot use a partial table must discard it on error.
+// configuration at any batch are omitted from the map, and ErrInfeasible
+// is returned only when that leaves the map empty. A candidate error
+// fails the sweep: SweepAll returns the error of the first failing group
+// in (family, batch) order — the same with and without pruning, at any
+// worker count. Cancelling ctx aborts the sweep between candidate
+// simulations and returns the incumbents-so-far — each (family, batch)
+// group's best fully-simulated candidate, a valid if possibly non-optimal
+// configuration — alongside ctx.Err(). The service layer turns that
+// partial map into a degraded response on deadline; callers that cannot
+// use a partial table must discard it on error.
 func SweepAll(ctx context.Context, c hw.Cluster, m model.Transformer, fams []Family, batches []int, opt Options) (map[Family][]Best, error) {
 	if opt.MaxMicroBatch <= 0 {
 		opt.MaxMicroBatch = 16
 	}
-	// Resumed (family, batch) groups — journaled winners of a previous,
-	// interrupted run — are subtracted from the work list before
-	// enumeration and merged back below; the survivors share one flat
-	// pool exactly as before.
-	resumed := make([]*Best, len(fams)*len(batches))
-	gi := make([]int, len(fams)*len(batches))
+	// cells holds one winner per (family, batch), in that order. Resumed
+	// groups — journaled winners of a previous, interrupted run — fill
+	// theirs before enumeration; the rest share one flat pool and fill
+	// theirs from its results.
+	cells := make([]*Best, 0, len(fams)*len(batches))
+	var fresh []int // the cells the pool prices, in group order
 	var groups [][]core.Plan
 	var keys []string
-	for fi, f := range fams {
+	for _, f := range fams {
 		key := f.Info().Key
-		for bi, b := range batches {
-			ci := fi*len(batches) + bi
+		for _, b := range batches {
 			if rb, ok := opt.Resume[GroupKey{Family: key, Batch: b}]; ok {
-				rb := rb
-				resumed[ci] = &rb
-				gi[ci] = -1
+				cells = append(cells, &rb)
 				continue
 			}
-			gi[ci] = len(groups)
+			fresh = append(fresh, len(cells))
+			cells = append(cells, nil)
 			groups = append(groups, Enumerate(ctx, c, m, f, b, opt))
 			keys = append(keys, key)
 		}
 	}
-	bests, _, err := evalGroups(ctx, c, m, groups, keys, opt)
+	bests, errs, err := evalGroups(ctx, c, m, groups, keys, opt)
+	for g, ci := range fresh {
+		if err == nil && errs[g] != nil {
+			return nil, errs[g]
+		}
+		cells[ci] = bests[g]
+	}
 	out := map[Family][]Best{}
 	for fi, f := range fams {
-		var fam []Best
-		for bi := range batches {
-			ci := fi*len(batches) + bi
-			if resumed[ci] != nil {
-				fam = append(fam, *resumed[ci])
-			} else if b := bests[gi[ci]]; b != nil {
-				fam = append(fam, *b)
+		for _, b := range cells[fi*len(batches) : (fi+1)*len(batches)] {
+			if b != nil {
+				out[f] = append(out[f], *b)
 			}
-		}
-		if len(fam) > 0 {
-			out[f] = fam
 		}
 	}
 	if err != nil {

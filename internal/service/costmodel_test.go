@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +12,9 @@ import (
 
 	"bfpp/internal/core"
 	"bfpp/internal/cost"
+	"bfpp/internal/hw"
+	"bfpp/internal/model"
+	"bfpp/internal/schedule"
 )
 
 // slowProfilePath writes a calibrated profile with a halved kernel ceiling
@@ -127,5 +131,62 @@ func TestDefaultCostModelConfig(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("healthz cost_models = %v, want it to include \"paper\"", h.CostModels)
+	}
+}
+
+// nanFwdModel is the paper cost model with a NaN forward duration: the
+// engine rejects every plan it prices.
+type nanFwdModel struct{}
+
+func (nanFwdModel) Name() string        { return "test-nan-fwd" }
+func (nanFwdModel) Fingerprint() string { return "test-nan-fwd" }
+
+func (nanFwdModel) Derive(c hw.Cluster, m model.Transformer, p core.Plan, par cost.Params) schedule.StepCosts {
+	par.Model = nil
+	sc := cost.Derive(c, m, p, par)
+	sc.Fwd = math.NaN()
+	return sc
+}
+
+// TestSearchCandidateErrorFailsRequest pins that a sweep whose candidates
+// fail fails the request instead of answering an empty table: the error
+// reaches the caller, a repeat recomputes (and fails) rather than hitting
+// the cache, and nothing reaches the durable store. The two cost models
+// fail differently: one derives a NaN duration, the other a profile that
+// passes Profile.Validate but overflows the batch time to +Inf.
+func TestSearchCandidateErrorFailsRequest(t *testing.T) {
+	if _, err := cost.Lookup("test-nan-fwd"); err != nil { // idempotent under -count>1
+		cost.Register("test-nan-fwd", func() cost.Model { return nanFwdModel{} })
+	}
+	prof := cost.DefaultProfile()
+	prof.KernelLaunch = 1.79e308
+	if err := prof.Validate(); err != nil {
+		t.Fatalf("profile rejected by Validate: %v", err)
+	}
+	raw, err := json.Marshal(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overflow := filepath.Join(t.TempDir(), "overflow.json")
+	if err := os.WriteFile(overflow, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, cm := range []string{"test-nan-fwd", "calibrated:" + overflow} {
+		st := openStore(t, t.TempDir())
+		s := New(Config{Store: st})
+		req := SearchRequest{Model: "6.6B", Cluster: "paper", Batches: []int{32}, CostModel: cm}
+		for attempt := 1; attempt <= 2; attempt++ {
+			resp, err := s.Search(ctx, req)
+			if err == nil {
+				t.Errorf("%s, attempt %d: search answered a table (cached=%t):\n%s", cm, attempt, resp.Cached, resp.Table)
+			}
+		}
+		if w := st.Stats().Writes; w != 0 {
+			t.Errorf("%s: %d failed results reached the store", cm, w)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -14,21 +14,17 @@ import (
 func (s *Service) aggregate(snap search.ProgressSnapshot) {
 	fold := func(fs *search.FamilyStats, p search.FamilyProgress) {
 		fs.Enumerated.Add(p.Enumerated)
-		fs.Dominated.Add(p.Dominated)
 		fs.BoundSkipped.Add(p.BoundedOut)
 		fs.Simulated.Add(p.Simulated)
 		fs.FlooredOut.Add(p.FlooredOut)
 		fs.ReplayPriced.Add(p.ReplayPriced)
-		fs.WarmStartHits.Add(p.WarmStartHits)
 	}
 	fold(&s.agg.FamilyStats, search.FamilyProgress{
-		Enumerated:    snap.Enumerated,
-		Dominated:     snap.Dominated,
-		BoundedOut:    snap.BoundedOut,
-		Simulated:     snap.Simulated,
-		FlooredOut:    snap.FlooredOut,
-		ReplayPriced:  snap.ReplayPriced,
-		WarmStartHits: snap.WarmStartHits,
+		Enumerated:   snap.Enumerated,
+		BoundedOut:   snap.BoundedOut,
+		Simulated:    snap.Simulated,
+		FlooredOut:   snap.FlooredOut,
+		ReplayPriced: snap.ReplayPriced,
 	})
 	for _, p := range snap.Families {
 		fold(s.agg.Family(p.Key), p)
@@ -93,12 +89,10 @@ var pruneMetrics = []struct {
 	load   func(*search.FamilyStats) int64
 }{
 	{"enumerated_total", "Candidate plans entering the work list.", func(fs *search.FamilyStats) int64 { return fs.Enumerated.Load() }},
-	{"dominated_total", "Candidates removed by the dominance pre-pass.", func(fs *search.FamilyStats) int64 { return fs.Dominated.Load() }},
 	{"bound_skipped_total", "Candidates skipped on the throughput upper bound.", func(fs *search.FamilyStats) int64 { return fs.BoundSkipped.Load() }},
 	{"simulated_total", "Candidates that reached the discrete-event simulator.", func(fs *search.FamilyStats) int64 { return fs.Simulated.Load() }},
 	{"floored_out_total", "Bound skips won by the tier-1 floor alone.", func(fs *search.FamilyStats) int64 { return fs.FlooredOut.Load() }},
 	{"replay_priced_total", "Tier-2 exact replays paid.", func(fs *search.FamilyStats) int64 { return fs.ReplayPriced.Load() }},
-	{"warm_start_hits_total", "Group incumbents seeded from a neighboring grid point.", func(fs *search.FamilyStats) int64 { return fs.WarmStartHits.Load() }},
 }
 
 // writePruneStats emits the lifetime pruning totals: one unlabeled series

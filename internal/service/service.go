@@ -465,11 +465,15 @@ func (s *Service) localSearch(ctx context.Context, req SearchRequest, job search
 			partial = true
 		case ctxErr != nil:
 			return SearchResponse{}, ctxErr
-		default:
+		case errors.Is(err, search.ErrInfeasible):
 			// No family feasible at any batch: an empty table, exactly like
 			// the pre-service CLI (which warned per family and printed the
 			// header-only table).
 			results = map[search.Family][]search.Best{}
+		default:
+			// A candidate failed (a cost model that prices it NaN, say):
+			// fail the request, which leaves nothing cached or stored.
+			return SearchResponse{}, err
 		}
 	}
 	resp := SearchResponse{

@@ -93,10 +93,10 @@ type SearchResponse struct {
 	// family in canonical order.
 	Families []FamilyResult `json:"families"`
 	// Stats is the final branch-and-bound counter snapshot, including the
-	// pricing-cascade counters (floored_out, replay_priced,
-	// warm_start_hits) at both the request and per-family level — the
-	// per-request observability for how far the tier-1 floor carried the
-	// pruning versus the tier-2 exact replay.
+	// pricing-cascade counters (floored_out, replay_priced) at both the
+	// request and per-family level — the per-request observability for
+	// how far the tier-1 floor carried the pruning versus the tier-2
+	// exact replay.
 	Stats search.ProgressSnapshot `json:"stats"`
 	// Cached reports that the response was served from the result cache
 	// without re-running the search.

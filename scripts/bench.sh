@@ -6,11 +6,11 @@
 #
 #   sweep_pruned    the full Figure-7 grid (all families x 52B batches),
 #                   unpruned worker pool vs the analytic branch-and-bound
-#                   (pricing cascade, warm-started incumbents, incumbent
-#                   skipping); prune_rate reports the fraction of
-#                   candidates never simulated, and prune_rate_by_family
-#                   breaks it down per method family (how far each
-#                   family's registered bound carries)
+#                   (pricing cascade, incumbent skipping); prune_rate
+#                   reports the fraction of candidates never simulated,
+#                   and prune_rate_by_family breaks it down per method
+#                   family (how far each family's registered bound
+#                   carries)
 #   parallel_scaling one (family, batch) search, serial (1 worker) vs
 #                   GOMAXPROCS workers
 #   service_overhead what the request/response layer (canonicalization,
@@ -37,16 +37,18 @@
 #                   formulas and bytes by construction. Target <= 1.02x.
 #   cascade         pricing-cascade counters from the pruned sweep: the
 #                   fraction of bound-skips won by the tier-1 floor alone,
-#                   the fraction of candidates that paid the O(ops) tier-2
-#                   exact replay, and the warm-started incumbents per sweep.
-#   history         frozen, dated numbers whose benchmarks no longer
-#                   exist, written back verbatim on every run: the
+#                   and the fraction of candidates that paid the O(ops)
+#                   tier-2 exact replay.
+#   history         frozen, dated numbers whose benchmarks or counters no
+#                   longer exist, written back verbatim on every run: the
 #                   speedups and allocs/op of the optimized search over
 #                   the original serial evaluator (no memo caches,
-#                   reference DES loop), and the DES's indexed run loop
-#                   against its reference loop (des_run), both last
+#                   reference DES loop), the DES's indexed run loop
+#                   against its reference loop (des_run), and the
+#                   warm-started incumbents per pruned sweep, all last
 #                   measured on 2026-08-08; the schedule replay has since
-#                   replaced the DES as the simulator.
+#                   replaced the DES as the simulator, and the warm-start
+#                   seed pass is gone.
 #
 # Overhead ratios (service_overhead, fault_overhead) measure a wrapper
 # against the exact work it wraps, so the true ratio is >= 1.0 by
@@ -90,7 +92,6 @@ awk -v out="$OUT" -v maxprocs="$GOMAXPROCS_N" -v date="$(date -u +%Y-%m-%dT%H:%M
 			if ($(i+1) == "prune%") prune[name] = $i
 			if ($(i+1) == "floored%") floored[name] = $i
 			if ($(i+1) == "replay%") replayed[name] = $i
-			if ($(i+1) == "warmstarts") warms[name] = $i
 			if ($(i+1) ~ /^prune_.+%$/) {
 				fam = $(i+1)
 				sub(/^prune_/, "", fam)
@@ -137,8 +138,7 @@ END {
 	printf "  \"cost_model_overhead_raw\": %.3f,\n", ns["SweepFigure7PrunedCostModel"] / ns["SweepFigure7Pruned"] > out
 	printf "  \"cascade\": {\n" > out
 	printf "    \"floored_skip_rate\": %.3f,\n", floored["SweepFigure7Pruned"] / 100 > out
-	printf "    \"replay_priced_rate\": %.3f,\n", replayed["SweepFigure7Pruned"] / 100 > out
-	printf "    \"warm_starts_per_sweep\": %.0f\n", warms["SweepFigure7Pruned"] + 0 > out
+	printf "    \"replay_priced_rate\": %.3f\n", replayed["SweepFigure7Pruned"] / 100 > out
 	printf "  },\n" > out
 	printf "  \"prune_rate\": %.3f,\n", prune["SweepFigure7Pruned"] / 100 > out
 	printf "  \"prune_rate_by_family\": {\n" > out
@@ -149,7 +149,7 @@ END {
 	printf "  },\n" > out
 	printf "  \"history\": {\n" > out
 	printf "    \"measured\": \"2026-08-08\",\n" > out
-	printf "    \"note\": \"optimized search vs the original serial evaluator (no memo caches, reference DES loop), and the DES indexed run loop vs its reference loop (des_run), deleted after this measurement; gomaxprocs 1, benchtime 3x\",\n" > out
+	printf "    \"note\": \"optimized search vs the original serial evaluator (no memo caches, reference DES loop), and the DES indexed run loop vs its reference loop (des_run), deleted after this measurement; the warm-started incumbents per pruned Figure-7 sweep, whose seed pass was deleted later; gomaxprocs 1, benchtime 3x\",\n" > out
 	printf "    \"benchmarks\": {\n" > out
 	printf "      \"DESRunFast\": {\"ns_per_op\": 48438, \"bytes_per_op\": 131685, \"allocs_per_op\": 6},\n" > out
 	printf "      \"DESRunReference\": {\"ns_per_op\": 244012, \"bytes_per_op\": 133848, \"allocs_per_op\": 10}\n" > out
@@ -163,6 +163,9 @@ END {
 	printf "    \"allocs_reduction\": {\n" > out
 	printf "      \"simulate_batch\": \"95 -> 7 allocs/op\",\n" > out
 	printf "      \"optimize\": \"12674 -> 1570 allocs/op\"\n" > out
+	printf "    },\n" > out
+	printf "    \"cascade\": {\n" > out
+	printf "      \"warm_starts_per_sweep\": 1\n" > out
 	printf "    }\n" > out
 	printf "  }\n" > out
 	printf "}\n" > out
