@@ -195,7 +195,8 @@ func BenchmarkSearchOptimizeSerial(b *testing.B) {
 }
 
 // BenchmarkSearchOptimizeParallel is the default configuration: GOMAXPROCS
-// workers plus caches and the branch-and-bound.
+// workers plus caches and the branch-and-bound. Optimize is one (family,
+// batch) group, which the search prices on one worker at any width.
 func BenchmarkSearchOptimizeParallel(b *testing.B) {
 	benchOptimize(b, search.Options{})
 }

@@ -23,16 +23,17 @@
 //
 // # Concurrency and cancellation
 //
-// The grid search (Optimize, Sweep, SweepAll) evaluates candidate
-// configurations on a bounded worker pool, defaulting to GOMAXPROCS
-// goroutines; SearchOptions.Workers overrides the width (1 forces the
-// serial path) and the bfpp-search/bfpp-figures/bfpp-tradeoff commands
-// expose it as -workers. Every search entry point is context-first:
+// The grid search (Optimize, Sweep, SweepAll) prices each (family,
+// batch) group start to finish on one worker of a bounded pool,
+// defaulting to GOMAXPROCS goroutines; SearchOptions.Workers overrides
+// the width (1 forces the serial path) and the bfpp-search/bfpp-figures/
+// bfpp-tradeoff commands expose it as -workers. A sweep of several batches
+// or families keeps every worker busy; Optimize is one group. Every search entry point is context-first:
 // cancelling the context aborts between candidate simulations, drains the
 // pool promptly and returns ctx.Err(); SearchOptions.Progress streams
-// pruning-counter snapshots while a sweep runs. Results are deterministic
-// and byte-identical at any worker count: winner selection is tie-stable
-// in enumeration order. Schedule generation and memory estimates are
+// pruning-counter snapshots while a sweep runs. Results and pruning
+// counters are deterministic and byte-identical at any worker count:
+// winner selection is tie-stable in enumeration order. Schedule generation and memory estimates are
 // memoized across simulations (plans differing only in TP, micro-batch
 // size or DP width share device programs), and one replay of the checked
 // programs both prices candidates and simulates them; scripts/bench.sh
@@ -172,7 +173,7 @@ const (
 
 // Optimize finds the most efficient feasible configuration of a family at
 // a global batch size; Sweep runs it across batch sizes and SweepAll
-// flattens several families onto one work queue. All are context-first:
+// across several families, one group per worker. All are context-first:
 // pass context.Background() for the uncancellable behavior.
 var (
 	Optimize          = search.Optimize

@@ -3,7 +3,9 @@
 # module's vet and tests + an HTTP smoke test of bfpp-serve, clean and
 # with a chaos script armed (a retrying client must absorb the injected
 # transient fault and still byte-match)
-# + a bfpp-calibrate smoke (deterministic fit, byte-stable fitted search)
+# + a worker-count invariance check of bfpp-search (table and pruning
+# counters) + a bfpp-calibrate smoke (deterministic fit, byte-stable
+# fitted search)
 # + a race pass over every internal package.
 # Set SKIP_RACE=1 on toolchains without cgo.
 set -eu
@@ -15,6 +17,7 @@ trap 'rm -rf "$BIN"; [ -n "${SERVE_PID:-}" ] && kill "$SERVE_PID" 2>/dev/null ||
 echo "== go build"
 go build ./...
 go build -o "$BIN/bfpp-serve" ./cmd/bfpp-serve
+go build -o "$BIN/bfpp-search" ./cmd/bfpp-search
 
 echo "== go vet"
 # The default analyzer set includes the ones this codebase leans on
@@ -49,6 +52,20 @@ echo "   against this tree, so a refactor cannot leave it unbuildable)"
 echo "== benchmarks smoke (benchtime=1x, so they cannot rot; includes the"
 echo "   SweepAppendixELarge interactive-deadline assertion)"
 go test -run '^$' -bench . -benchtime=1x . > /dev/null
+
+echo "== worker-count invariance (the Figure 7 sweep's table on stdout and its"
+echo "   pruning counters on stderr must be byte-identical at -workers 1 and 4)"
+for w in 1 4; do
+	"$BIN/bfpp-search" -model 52B -batches 8,16,32,64,128,256,512 -workers "$w" \
+		> "$BIN/fig7.w$w.out" 2> "$BIN/fig7.w$w.err"
+done
+if ! cmp -s "$BIN/fig7.w1.out" "$BIN/fig7.w4.out" || ! cmp -s "$BIN/fig7.w1.err" "$BIN/fig7.w4.err"; then
+	echo "bfpp-search output depends on the worker count:"
+	diff "$BIN/fig7.w1.out" "$BIN/fig7.w4.out" || true
+	diff "$BIN/fig7.w1.err" "$BIN/fig7.w4.err" || true
+	exit 1
+fi
+echo "table and pruning counters byte-identical at -workers 1 and 4"
 
 echo "== HTTP smoke (bfpp-serve on an ephemeral port vs in-process table)"
 "$BIN/bfpp-serve" -addr 127.0.0.1:0 > "$BIN/serve.out" 2>&1 &

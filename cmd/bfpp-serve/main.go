@@ -35,12 +35,6 @@
 // sweeps from disk and resumes interrupted ones, re-pricing only the
 // unfinished groups, with byte-identical tables either way.
 //
-// -replicas URL[,URL...] distributes sweeps across peer bfpp-serve
-// instances: each (family, batch) group is dispatched to a replica (this
-// process prices groups too), transient replica failures retry with
-// backoff, dead replicas fail over to the survivors, and the merged table
-// is byte-identical to a single-process run.
-//
 // Example:
 //
 //	bfpp-serve -addr localhost:8080 -store /var/lib/bfpp &
@@ -59,12 +53,10 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
 	"bfpp/internal/cli"
-	"bfpp/internal/dispatch"
 	"bfpp/internal/fault"
 	"bfpp/internal/service"
 	"bfpp/internal/store"
@@ -82,7 +74,6 @@ func main() {
 		maxBody    = flag.Int64("max-body", 0, "request body cap in bytes, 413 beyond (0 = 1 MiB, negative = uncapped)")
 		chaos      = flag.String("chaos", "", "deterministic fault script, e.g. \"job:error:1,pool:delay:3:5\" (point:kind:times[:delay-ms])")
 		storeDir   = flag.String("store", "", "durability directory: results persist to DIR/results.log, sweeps checkpoint to DIR/sweeps.journal (empty = in-memory only)")
-		replicas   = flag.String("replicas", "", "comma-separated peer bfpp-serve base URLs to shard sweeps across (this process prices groups too)")
 		nosync     = flag.Bool("store-nosync", false, "skip the per-record fsync (faster; a host crash can tear the tail, which the CRC framing heals at next open)")
 		costModel  = flag.String("costmodel", "", "default cost model for requests without a cost_model field (paper, calibrated, contended, calibrated:<profile.json>); empty = paper")
 	)
@@ -140,18 +131,6 @@ func main() {
 		ss, js := st.Stats(), jr.Stats()
 		fmt.Printf("bfpp-serve: store %s: %d results, %d journaled sweeps (%d corruptions healed)\n",
 			*storeDir, ss.Records, len(jr.Sweeps()), ss.CorruptionsRecovered+js.CorruptionsRecovered)
-	}
-	if *replicas != "" {
-		// The fleet includes this process: a lone survivor still finishes
-		// every sweep after the remotes fail over.
-		reps := []dispatch.Replica{&dispatch.Local{ID: "self", Workers: *maxWorkers}}
-		for _, u := range strings.Split(*replicas, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				reps = append(reps, &dispatch.HTTP{BaseURL: strings.TrimRight(u, "/")})
-			}
-		}
-		cfg.Sharder = dispatch.New(dispatch.Options{Injector: injector}, reps...)
-		fmt.Printf("bfpp-serve: sharding sweeps across %d replicas (self + %d remote)\n", len(reps), len(reps)-1)
 	}
 	svc := service.New(cfg)
 	ln, err := net.Listen("tcp", *addr)

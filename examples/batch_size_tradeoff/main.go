@@ -36,12 +36,12 @@ func main() {
 	// first configuration per batch size on the 64-GPU reference cluster...
 	cluster := bfpp.PaperCluster()
 	m := bfpp.Model52B()
+	bests, err := bfpp.Sweep(context.Background(), cluster, m, bfpp.FamilyBreadthFirst, []int{8, 64, 512}, bfpp.SearchOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	var measured []bfpp.Result
-	for _, batch := range []int{8, 64, 512} {
-		best, err := bfpp.Optimize(context.Background(), cluster, m, bfpp.FamilyBreadthFirst, batch, bfpp.SearchOptions{})
-		if err != nil {
-			log.Fatal(err)
-		}
+	for _, best := range bests {
 		measured = append(measured, best.Result)
 	}
 

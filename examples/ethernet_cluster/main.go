@@ -50,13 +50,18 @@ func main() {
 	}
 
 	// Optimized comparison at a moderate batch (Figure 7c scenario).
+	// One sweep prices every family's group at once, one per worker.
 	fmt.Println("\noptimized configurations at B=128 on Ethernet:")
+	results, err := bfpp.SweepAll(context.Background(), eth, m, bfpp.SearchFamilies(), []int{128}, bfpp.SearchOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, f := range bfpp.SearchFamilies() {
-		best, err := bfpp.Optimize(context.Background(), eth, m, f, 128, bfpp.SearchOptions{})
-		if err != nil {
-			fmt.Printf("%-26s infeasible (%v)\n", f, err)
+		bests, ok := results[f]
+		if !ok {
+			fmt.Printf("%-26s infeasible\n", f)
 			continue
 		}
-		fmt.Printf("%-26s %6.2f Tflop/s  %v\n", f, best.Throughput/1e12, best.Plan)
+		fmt.Printf("%-26s %6.2f Tflop/s  %v\n", f, bests[0].Throughput/1e12, bests[0].Plan)
 	}
 }

@@ -25,6 +25,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -122,6 +123,21 @@ func prepare(c hw.Cluster, m model.Transformer, p core.Plan, opt Options) (*sche
 	return sched, costs, nil
 }
 
+// ErrInvalidCosts matches (under errors.Is) the errors Precheck and
+// SimulateOpts return when the cost model derives a duration the
+// simulation cannot charge: NaN, infinite, negative, or large enough to
+// overflow the batch time. The parameters behind it (a calibration
+// profile, say) are the caller's input, not an engine fault.
+var ErrInvalidCosts = errors.New("engine: invalid derived costs")
+
+// costError is a checkCosts failure: its own message, matching
+// ErrInvalidCosts.
+type costError string
+
+func (e costError) Error() string { return string(e) }
+
+func (costError) Unwrap() error { return ErrInvalidCosts }
+
 // checkCosts rejects a duration the simulation would charge that is not
 // finite and non-negative: one of the seven StepCosts fields, or a
 // transfer riding the compute stream, which pays the stall on top of its
@@ -142,7 +158,7 @@ func checkCosts(s *schedule.Schedule, c schedule.StepCosts) error {
 	}{{"fwd", c.Fwd}, {"bwd", c.Bwd}, {"transfer", c.Transfer}, {"pp stall", c.PPStall},
 		{"reduce", c.Reduce}, {"restore", c.Restore}, {"opt", c.Opt}, {"charged transfer", transfer}} {
 		if d.v < 0 || math.IsNaN(d.v) || math.IsInf(d.v, 0) {
-			return fmt.Errorf("engine: invalid %s duration %v", d.name, d.v)
+			return costError(fmt.Sprintf("engine: invalid %s duration %v", d.name, d.v))
 		}
 	}
 	ops := 0
@@ -151,7 +167,7 @@ func checkCosts(s *schedule.Schedule, c schedule.StepCosts) error {
 	}
 	largest := max(c.Fwd, c.Bwd, transfer, c.Reduce, c.Restore, c.Opt)
 	if math.IsInf(largest*float64(2*ops), 0) {
-		return fmt.Errorf("engine: batch time overflows: %d ops of up to %v s each", ops, largest)
+		return costError(fmt.Sprintf("engine: batch time overflows: %d ops of up to %v s each", ops, largest))
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -136,7 +137,8 @@ func TestDegenerateParams(t *testing.T) {
 
 // A NaN, infinite or negative calibration value yields a duration the
 // simulation cannot charge: SimulateOpts and Precheck return the same
-// error instead of panicking or pricing the plan.
+// error, matching ErrInvalidCosts, instead of panicking or pricing the
+// plan.
 func TestInvalidCostsError(t *testing.T) {
 	c := hw.PaperCluster()
 	m := model.Model52B()
@@ -150,6 +152,9 @@ func TestInvalidCostsError(t *testing.T) {
 		if err == nil {
 			t.Errorf("KernelLaunch %v: SimulateOpts returned no error", v)
 			continue
+		}
+		if !errors.Is(err, ErrInvalidCosts) {
+			t.Errorf("KernelLaunch %v: error %v does not match ErrInvalidCosts", v, err)
 		}
 		if perr := Precheck(c, m, p, opt); perr == nil || perr.Error() != err.Error() {
 			t.Errorf("KernelLaunch %v: Precheck error %v, SimulateOpts error %v", v, perr, err)
@@ -178,6 +183,9 @@ func TestOverflowingCostsError(t *testing.T) {
 	r, err := SimulateOpts(c, m, p, opt)
 	if err == nil {
 		t.Fatalf("SimulateOpts returned no error (batch time %v)", r.BatchTime)
+	}
+	if !errors.Is(err, ErrInvalidCosts) {
+		t.Errorf("error %v does not match ErrInvalidCosts", err)
 	}
 	if perr := Precheck(c, m, p, opt); perr == nil || perr.Error() != err.Error() {
 		t.Errorf("Precheck error %v, SimulateOpts error %v", perr, err)

@@ -47,7 +47,10 @@ const (
 	// dp. Delay applies (a stalled interconnect).
 	ChannelSend
 	// PoolItem fires before a parallel worker evaluates one work item.
-	// Coordinates: item index. Delay applies (a straggling worker).
+	// Coordinates: item index — in a search sweep, where each item is one
+	// (family, batch) group, the group's index in the pool's work list
+	// (the enumeration pass hands groups out in (family, batch) order, the
+	// pricing pass largest first). Delay applies (a straggling worker).
 	PoolItem
 	// Handler fires at HTTP request admission, before the service method
 	// runs. Coordinates: arrival number. Error and Panic apply.
@@ -65,13 +68,6 @@ const (
 	// written but its durability is unconfirmed — the crash window the
 	// CRC framing exists for); Delay stalls it.
 	StoreSync
-	// Replica fires when the shard coordinator dispatches a group to a
-	// replica. Coordinates: replica index, group index. Error fails the
-	// dispatch (a crashed or unreachable replica — the coordinator must
-	// fail over), Panic crashes the dispatching worker (contained and
-	// treated as a replica fault), Delay stalls the dispatch (a straggler,
-	// which the group timeout reassigns).
-	Replica
 
 	numPoints
 )
@@ -84,7 +80,6 @@ var pointNames = [numPoints]string{
 	Job:         "job",
 	StoreWrite:  "store",
 	StoreSync:   "store-sync",
-	Replica:     "replica",
 }
 
 // String returns the spelling ParseScript accepts.
@@ -314,7 +309,7 @@ func ParseScript(spec string) (*Script, error) {
 			}
 		}
 		if !found {
-			return nil, fmt.Errorf("fault: unknown point %q (device, send, pool, handler, job, store, store-sync, replica)", fields[0])
+			return nil, fmt.Errorf("fault: unknown point %q (device, send, pool, handler, job, store, store-sync)", fields[0])
 		}
 		times, err := strconv.Atoi(fields[2])
 		if err != nil || times < 1 {

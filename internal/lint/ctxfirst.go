@@ -13,11 +13,10 @@ var ctxPkgs = map[string]bool{
 	"figures":  true,
 	"tradeoff": true,
 	"service":  true,
-	"dispatch": true,
 }
 
 // AnalyzerCtxfirst enforces the context-first API contract: in the
-// job-layer packages (search, figures, tradeoff, service, dispatch) every
+// job-layer packages (search, figures, tradeoff, service) every
 // function or method with a context.Context parameter takes it first; and
 // context.Background()/context.TODO() are forbidden outside cmd/, scripts/
 // and examples/ (tests are never loaded) — library code must thread the

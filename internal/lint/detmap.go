@@ -16,7 +16,6 @@ var deterministicPkgs = map[string]bool{
 	"analytic": true,
 	"engine":   true,
 	"des":      true,
-	"dispatch": true,
 	"store":    true,
 	"service":  true,
 	"figures":  true,
@@ -32,7 +31,7 @@ var deterministicPkgs = map[string]bool{
 var AnalyzerDetmap = &Analyzer{
 	Name: "detmap",
 	Doc: "forbid order-dependent map iteration in deterministic packages " +
-		"(search, cost, schedule, analytic, engine, des, dispatch, store, service, figures); " +
+		"(search, cost, schedule, analytic, engine, des, store, service, figures); " +
 		"collect the keys and sort them first",
 	Run: runDetmap,
 }

@@ -27,24 +27,30 @@ func TestMapCtxBackgroundMatchesMap(t *testing.T) {
 
 // TestMapCtxCancelStopsNewItems asserts that after cancellation no new
 // item starts, in-flight items complete, and the call returns ctx.Err().
+// It counts only the items that start after cancel() has returned: a
+// worker checks ctx before it takes an item, so each may start at most
+// the one item it took before the cancel landed.
 func TestMapCtxCancelStopsNewItems(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
-		var started atomic.Int64
+		var started, after atomic.Int64
+		var cancelled atomic.Bool
 		items := make([]int, 1000)
 		_, err := MapCtx(ctx, workers, items, func(i int, _ int) (struct{}, error) {
+			if cancelled.Load() {
+				after.Add(1)
+			}
 			if started.Add(1) == 3 {
 				cancel()
+				cancelled.Store(true)
 			}
 			return struct{}{}, nil
 		})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
-		// Each worker may finish its in-flight item and start at most one
-		// more racing the cancellation; nothing close to the full list runs.
-		if n := started.Load(); n > int64(3+2*workers) {
-			t.Errorf("workers=%d: %d items started after cancel (want <= %d)", workers, n, 3+2*workers)
+		if n := after.Load(); n > int64(workers) {
+			t.Errorf("workers=%d: %d items started after cancel() returned (want <= %d)", workers, n, workers)
 		}
 		cancel()
 	}

@@ -63,36 +63,51 @@ func TestSweepAllCancelMidFlight(t *testing.T) {
 	}
 }
 
-// TestSweepAllCancelDuringPrecheck cancels a sweep while its precheck
-// pass runs: the sweep returns context.Canceled and no winner, at any
-// worker count, instead of failing on results the cut pass never made.
+// TestSweepAllCancelDuringPrecheck cancels a sweep as a pool item
+// arrives: the first group's enumeration (the pool's first item), and the
+// first group handed to pricing, whose worker then finds ctx cancelled
+// before its first precheck. Either way the sweep returns
+// context.Canceled and no winner, at any worker count, instead of failing
+// on results the cut sweep never made.
 func TestSweepAllCancelDuringPrecheck(t *testing.T) {
+	fams := Families()
 	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		inj := &cancelOnFirstItem{cancel: cancel}
-		out, err := SweepAll(fault.With(ctx, inj), hw.PaperCluster(), model.Model6p6B(),
-			Families(), []int{64}, Options{Workers: workers})
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-		if len(out) != 0 {
-			t.Errorf("workers=%d: a sweep cancelled before pricing returned %d families", workers, len(out))
+		// Arrival len(fams) is the pricing pass's first group: the sweep
+		// has one group per family, all enumerated first.
+		for _, at := range []int{0, len(fams)} {
+			ctx, cancel := context.WithCancel(context.Background())
+			inj := &cancelAtItem{at: at, cancel: cancel}
+			out, err := SweepAll(fault.With(ctx, inj), hw.PaperCluster(), model.Model6p6B(),
+				fams, []int{64}, Options{Workers: workers})
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("workers=%d at=%d: err = %v, want context.Canceled", workers, at, err)
+			}
+			if len(out) != 0 {
+				t.Errorf("workers=%d at=%d: a sweep cancelled before pricing returned %d families", workers, at, len(out))
+			}
 		}
 	}
 }
 
-// cancelOnFirstItem cancels its context when the first pool item of a
-// search arrives — the precheck pass's, when pruning is on — and injects
-// nothing.
-type cancelOnFirstItem struct {
-	once   sync.Once
+// cancelAtItem cancels its context when the at-th pool item of a search
+// (counting from 0 across the sweep's pool passes) arrives, and injects
+// nothing. The count and the cancel share one lock, so every later item
+// arrives after the cancel and starts no work.
+type cancelAtItem struct {
+	mu     sync.Mutex
+	n, at  int
 	cancel context.CancelFunc
 }
 
-func (c *cancelOnFirstItem) At(p fault.Point, _ ...int) (fault.Fault, bool) {
+func (c *cancelAtItem) At(p fault.Point, _ ...int) (fault.Fault, bool) {
 	if p == fault.PoolItem {
-		c.once.Do(c.cancel)
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if c.n == c.at {
+			c.cancel()
+		}
+		c.n++
 	}
 	return fault.Fault{}, false
 }

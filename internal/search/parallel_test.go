@@ -124,3 +124,46 @@ func TestOptimizeConcurrentCallers(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepStatsWorkerInvariant pins that the pruning counters, not just
+// the table, are the same at any worker count: each (family, batch) group
+// is priced start to finish on one worker against its own incumbent, so
+// no count depends on which worker priced what first. The scenario is the
+// Figure 7 sweep (52B, paper cluster, the paper families, batches 8-512).
+func TestSweepStatsWorkerInvariant(t *testing.T) {
+	c := hw.PaperCluster()
+	m := model.Model52B()
+	batches := []int{8, 16, 32, 64, 128, 256, 512}
+	counts := func(fs *FamilyStats) [5]int64 {
+		return [5]int64{fs.Enumerated.Load(), fs.BoundSkipped.Load(), fs.Simulated.Load(),
+			fs.FlooredOut.Load(), fs.ReplayPriced.Load()}
+	}
+	sweep := func(workers int) (map[string][5]int64, string) {
+		stats := &Stats{}
+		res, err := SweepAll(context.Background(), c, m, Families(), batches, Options{Workers: workers, Stats: stats})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		got := map[string][5]int64{"total": counts(&stats.FamilyStats)}
+		for _, k := range stats.FamilyKeys() {
+			got[k] = counts(stats.Family(k))
+		}
+		return got, Table("figure 7", res)
+	}
+	want, wantTable := sweep(1)
+	for _, workers := range []int{2, 4, 8} {
+		got, table := sweep(workers)
+		if table != wantTable {
+			t.Errorf("workers=%d: table differs from workers=1", workers)
+		}
+		if len(got) != len(want) {
+			t.Errorf("workers=%d: counted families %v, want %v", workers, got, want)
+		}
+		for k, w := range want {
+			if got[k] != w {
+				t.Errorf("workers=%d %s: [enumerated bounded-out simulated floored-out replay-priced] = %v, want %v",
+					workers, k, got[k], w)
+			}
+		}
+	}
+}

@@ -131,8 +131,9 @@ func TestResumeOptimize(t *testing.T) {
 	}
 }
 
-// TestResumeInfeasibleTyped pins the ErrInfeasible classification the
-// shard coordinator relies on to tell "nothing fits" from real faults.
+// TestResumeInfeasibleTyped pins the ErrInfeasible classification
+// callers rely on to tell "nothing fits" from real faults (the service
+// answers an empty table for it and fails the request for anything else).
 func TestResumeInfeasibleTyped(t *testing.T) {
 	c := hw.PaperCluster()
 	m := model.Model6p6B()

@@ -8,11 +8,13 @@
 //
 // # Concurrency, cancellation and pruning
 //
-// Optimize fans the enumerated plans out across a bounded worker pool
-// (internal/parallel); Sweep and SweepAll flatten all batches' (and
-// families') candidates into one work list over the same pool, so
-// Options.Workers is a true bound on concurrent simulations (0 means
-// GOMAXPROCS, 1 forces the serial path).
+// A sweep's unit of parallel work is the (family, batch) group: no price
+// crosses a group boundary, so each group is enumerated, priced and
+// settled start to finish on one worker of a bounded pool
+// (internal/parallel). Sweep and SweepAll hand their groups to that pool,
+// largest candidate count first, and Options.Workers bounds how many
+// groups run at once (0 means GOMAXPROCS, 1 forces the serial path).
+// Optimize is a one-group sweep, so it runs on one worker.
 //
 // Every entry point takes a context: workers observe cancellation between
 // candidate simulations (an in-flight simulation completes, no new one
@@ -24,20 +26,22 @@
 // final table.
 //
 // By default the search runs branch-and-bound (BaPipe-style) with a
-// two-tier pricing cascade in one parallel pass. Tier 1 prices every
-// candidate with the cheap analytic floor (analytic.Floor — O(1)
-// arithmetic, no schedule replay), and jobs are ordered
-// cheapest-floor-first. A candidate reaches tier 2 — the O(ops) exact
-// multi-stream schedule replay (analytic.LowerBound, which replays the
-// candidate's prechecked device programs with the simulator's own replay,
-// so its price is the simulated batch time bit for bit for every
-// generator registering the replay hook) — only when its floor fails to
-// prune against its (family, batch) group's incumbent. Exact tier-2
-// prices feed the incumbent immediately, so siblings prune before any
-// simulation runs, and the exactly-priced candidate's simulation is
-// deferred. The worker that resolves a group's last candidate settles the
-// group: it simulates the deferred candidate the incumbent names (the
-// winner) and counts every other deferred candidate as a bound skip.
+// two-tier pricing cascade. Within a group, tier 1 prices every candidate
+// with the cheap analytic floor (analytic.Floor — O(1) arithmetic, no
+// schedule replay), and candidates are taken cheapest-floor-first. A
+// candidate reaches tier 2 — the O(ops) exact multi-stream schedule replay
+// (analytic.LowerBound, which replays the candidate's prechecked device
+// programs with the simulator's own replay, so its price is the simulated
+// batch time bit for bit for every generator registering the replay hook)
+// — only when its floor fails to prune against the group's incumbent.
+// Exact tier-2 prices feed the incumbent immediately, so siblings prune
+// before any simulation runs, and the exactly-priced candidate's
+// simulation is deferred. Once the group's last candidate is resolved the
+// worker settles the group: it simulates the deferred candidate the
+// incumbent names (the winner) and counts every other deferred candidate
+// as a bound skip. Because each group is priced in one fixed order
+// against its own incumbent, every pruning counter is the same at any
+// worker count.
 //
 // Pruning never changes results: a candidate is skipped only when the
 // admissible bound proves it cannot be the winner under the same strict
@@ -252,10 +256,11 @@ type Best struct {
 }
 
 // FamilyStats accumulates the branch-and-bound counters of one method
-// family. All fields are atomic so one record may be shared across
-// concurrent sweeps; Enumerated is deterministic, BoundSkipped and
-// Simulated depend on worker timing (in a completed search their sum
-// equals Enumerated).
+// family. All fields are atomic so one record may be shared across the
+// workers of a sweep and across concurrent sweeps. Every counter of a
+// completed search is deterministic: each group is priced in one fixed
+// order against its own incumbent, so the counts are the same at any
+// worker count (and BoundSkipped + Simulated equals Enumerated).
 type FamilyStats struct {
 	// Enumerated counts candidate plans entering the work list.
 	Enumerated atomic.Int64
@@ -407,10 +412,11 @@ type Options struct {
 	Params *engine.Params
 	// MaxMicroBatch caps S_mb in the enumeration (default 16).
 	MaxMicroBatch int
-	// Workers bounds the pool of goroutines simulating candidate plans
-	// (one flat pool even across a Sweep's batches): 0 resolves to
-	// GOMAXPROCS, 1 forces the serial path. Any worker count produces
-	// byte-identical results.
+	// Workers bounds the pool of goroutines a sweep hands its (family,
+	// batch) groups to, each group running start to finish on one worker:
+	// 0 resolves to GOMAXPROCS, 1 forces the serial path. A sweep of one
+	// group (Optimize) uses one worker. Any worker count produces
+	// byte-identical results and pruning counters.
 	Workers int
 	// NoPrune disables the analytic branch-and-bound (the pricing
 	// cascade and incumbent skipping) and simulates every candidate.
@@ -458,9 +464,10 @@ type Options struct {
 const progressStride = 16
 
 // Optimize searches one family at one global batch size and returns the
-// most efficient feasible configuration. It is Sweep over the one batch:
-// candidate plans are simulated concurrently on Options.Workers
-// goroutines, and the winner is the lowest-indexed plan (in Enumerate
+// most efficient feasible configuration. It is Sweep over the one batch,
+// a single group, so it runs on one worker whatever Options.Workers says;
+// searching several batches or families at once belongs in one Sweep or
+// SweepAll call. The winner is the lowest-indexed plan (in Enumerate
 // order) of maximal throughput, matching the serial path tie-for-tie.
 // Cancelling ctx aborts the search between candidate simulations and
 // returns ctx.Err().
@@ -489,11 +496,9 @@ func pickBest(results []engine.Result) Best {
 	return best
 }
 
-// job carries one candidate plan through the shared work list.
+// job carries one candidate plan through its group's pricing.
 type job struct {
 	plan     core.Plan
-	group    int     // index into the (family, batch) group list
-	idx      int     // enumeration index within the group (the tie order)
 	ub       float64 // analytic throughput upper bound (FlopPerGPU / lower bound)
 	flop     float64 // BatchFlopPerGPU, shared by the cascade's two pricings
 	exact    bool    // the bound equals the simulated time bit for bit
@@ -502,44 +507,40 @@ type job struct {
 	deferred bool    // exactly priced; simulated when its group settles, if it won
 }
 
-// incumbent is the shared best-simulated-so-far record of one group. Its
-// rule mirrors pickBest: a candidate is covered (provably not the winner)
-// when its throughput upper bound is strictly below the incumbent, or ties
-// it while the incumbent has the lower enumeration index. The minimal-index
-// maximal-throughput candidate is never covered, so the reduced winner is
-// identical to the unpruned one.
+// incumbent is one group's best-simulated-so-far record, owned by the
+// worker pricing the group. Its rule mirrors pickBest: a candidate is
+// covered (provably not the winner) when its throughput upper bound is
+// strictly below the incumbent, or ties it while the incumbent has the
+// lower enumeration index. The minimal-index maximal-throughput candidate
+// is never covered, so the reduced winner is identical to the unpruned
+// one.
 type incumbent struct {
-	mu  sync.Mutex
 	ok  bool
 	tp  float64
 	idx int
 }
 
 func (inc *incumbent) covers(ub float64, idx int) bool {
-	inc.mu.Lock()
-	defer inc.mu.Unlock()
 	return inc.ok && (ub < inc.tp || (ub == inc.tp && inc.idx < idx))
 }
 
 func (inc *incumbent) update(tp float64, idx int) {
-	inc.mu.Lock()
-	defer inc.mu.Unlock()
 	if !inc.ok || tp > inc.tp || (tp == inc.tp && idx < inc.idx) {
 		inc.ok, inc.tp, inc.idx = true, tp, idx
 	}
 }
 
-// simOut is one slot of the shared result table.
+// simOut is one candidate's result slot.
 type simOut struct {
 	res engine.Result
 	ran bool
 	err error
 }
 
-// reduce picks one group's winner from its slots of the result table: the
-// lowest-index candidate error if any candidate failed, else pickBest over
-// the simulated candidates (nil when none ran). Skipped candidates
-// provably cannot win, so this is the unpruned selection rule.
+// reduce picks one group's winner from its result slots: the lowest-index
+// candidate error if any candidate failed, else pickBest over the
+// simulated candidates (nil when none ran). Skipped candidates provably
+// cannot win, so this is the unpruned selection rule.
 func reduce(seg []simOut) (*Best, error) {
 	var ran []engine.Result
 	for i := range seg {
@@ -558,24 +559,180 @@ func reduce(seg []simOut) (*Best, error) {
 	return &b, nil
 }
 
+// upperBound is a candidate's throughput upper bound from a lower bound
+// on its batch time.
+func upperBound(flop, lb float64) float64 {
+	if lb > 0 {
+		return flop / lb
+	}
+	return math.Inf(1)
+}
+
+// pricer holds what every group of one evalGroups call shares: the
+// scenario, the options and the counters. price touches no other group's
+// state, so any number of workers may run it at once.
+type pricer struct {
+	ctx      context.Context
+	c        hw.Cluster
+	m        model.Transformer
+	opt      Options
+	par      engine.Params
+	progress func(force bool)
+}
+
+func (p *pricer) countSim(fs *FamilyStats) {
+	p.opt.Stats.Simulated.Add(1)
+	fs.Simulated.Add(1)
+	p.progress(false)
+}
+
+func (p *pricer) countSkip(fs *FamilyStats, j *job) {
+	p.opt.Stats.BoundSkipped.Add(1)
+	fs.BoundSkipped.Add(1)
+	if !j.exact {
+		// Skipped on the tier-1 floor alone: the candidate never paid an
+		// exact replay.
+		p.opt.Stats.FlooredOut.Add(1)
+		fs.FlooredOut.Add(1)
+	}
+	p.progress(false)
+}
+
+// price searches one group on the calling worker. It returns one result
+// slot per candidate, in enumeration order, and whether the group ran to
+// completion: ctx is checked before each candidate, and a cut-off group's
+// slots hold only what was fully simulated.
+//
+// With pruning active it first prechecks every candidate (so a candidate
+// whose simulation would error reports it even when the bounds would
+// skip it) and prices it with the tier-1 floor. It then takes the
+// candidates cheapest-floor-first, stable on enumeration order: each one
+// the incumbent covers is skipped, and the tier-2 exact replay is paid
+// only for candidates the floor fails to settle. An exactly-priced
+// candidate's simulation is deferred, and the settle at the end simulates
+// the one the incumbent names. The winner — and the lowest-index error —
+// is provably the one the unpruned path reports.
+func (p *pricer) price(plans []core.Plan, fs *FamilyStats) ([]simOut, bool) {
+	jobs := make([]job, len(plans))
+	outs := make([]simOut, len(plans))
+	order := make([]int, len(plans))
+	for i, pl := range plans {
+		jobs[i].plan = pl
+		order[i] = i
+	}
+	prune := !p.opt.NoPrune
+	eopt := engine.Options{Params: p.opt.Params}
+	if prune {
+		lbs := make([]float64, len(jobs))
+		for i := range jobs {
+			if p.ctx.Err() != nil {
+				return outs, false
+			}
+			j := &jobs[i]
+			if err := engine.Precheck(p.c, p.m, j.plan, eopt); err != nil {
+				outs[i].err = fmt.Errorf("search: %v: %w", j.plan, err)
+				j.failed = true
+				continue
+			}
+			j.flop = p.m.BatchFlopPerGPU(j.plan.MicroBatch, j.plan.NumMicro, j.plan.PP, j.plan.TP)
+			// Tier 1: the cheap floor. Whether an exact tier-2 price exists
+			// is a trait of the method, recorded for the pricing loop.
+			tr := schedule.TraitsOf(j.plan.Method)
+			j.replay = tr.StepLB != nil || tr.StepLBCached != nil
+			lbs[i] = analytic.Floor(p.c, p.m, j.plan, &p.par)
+			j.ub = upperBound(j.flop, lbs[i])
+		}
+		// Cheapest (fastest-looking) bound first: the likely winners are
+		// priced early and the incumbent tightens before the long tail.
+		sort.SliceStable(order, func(a, b int) bool { return lbs[order[a]] < lbs[order[b]] })
+	}
+
+	var inc incumbent
+	simulate := func(i int) {
+		r, err := engine.SimulateOpts(p.c, p.m, jobs[i].plan, eopt)
+		p.countSim(fs) // reached the simulator, error or not
+		if err != nil {
+			// Enumeration bugs should surface loudly; feasibility issues
+			// are filtered beforehand, and the precheck already guarantees
+			// pruning cannot mask this error.
+			outs[i].err = fmt.Errorf("search: %v: %w", jobs[i].plan, err)
+			return
+		}
+		outs[i] = simOut{res: r, ran: true}
+		inc.update(r.Throughput, i)
+	}
+	for _, i := range order {
+		if p.ctx.Err() != nil {
+			return outs, false
+		}
+		j := &jobs[i]
+		if prune && j.replay && !j.failed && !inc.covers(j.ub, i) {
+			// Tier 2: the floor failed to settle this candidate against the
+			// incumbent; pay the exact O(ops) replay once. Both tiers are
+			// admissible, so tightening the bound here can only turn "maybe"
+			// into "provably not the winner" — never the other way.
+			lb, exact := analytic.LowerBound(p.c, p.m, j.plan, &p.par)
+			p.opt.Stats.ReplayPriced.Add(1)
+			fs.ReplayPriced.Add(1)
+			j.ub = upperBound(j.flop, lb)
+			if j.exact = exact; exact {
+				// The replay is the simulated time bit for bit, so the ub is
+				// this candidate's true throughput: publish it so siblings
+				// prune against it immediately.
+				inc.update(j.ub, i)
+			}
+		}
+		switch {
+		case j.failed:
+			// The precheck already recorded the exact error the simulation
+			// would produce; count it as simulated, which is what the
+			// unpruned path would have done.
+			p.countSim(fs)
+		case prune && inc.covers(j.ub, i):
+			p.countSkip(fs, j)
+		case prune && j.exact:
+			// Simulating now would learn nothing the exact price has not;
+			// the settle below simulates the candidate if it wins.
+			j.deferred = true
+		default:
+			simulate(i)
+		}
+	}
+	if p.ctx.Err() != nil {
+		return outs, false
+	}
+	// Settle. Every deferred candidate was published to the incumbent at
+	// its exact price, which is its simulated throughput bit for bit, so
+	// the incumbent covers all of them but the one it names: that one
+	// simulates (it is the winner), the rest are bound skips.
+	for i := range jobs {
+		if j := &jobs[i]; j.deferred {
+			if inc.covers(j.ub, i) {
+				p.countSkip(fs, j)
+			} else {
+				simulate(i)
+			}
+		}
+	}
+	return outs, true
+}
+
 // evalGroups evaluates the candidate groups (one per (family, batch), with
 // keys carrying each group's family key for the per-family statistics)
-// over one shared worker pool and reduces each to its winner. It returns
-// one Best per group (nil when the group is empty or failed) and each
-// group's lowest-index candidate error; the final error is non-nil only
-// when ctx was cancelled. Even then the per-group results are returned:
-// each reflects only fully-simulated candidates, so a group's Best is its
-// incumbent-so-far — a valid (if possibly non-optimal) configuration that
-// callers surfacing graceful degradation may report alongside the error.
+// and reduces each to its winner. It returns one Best per group (nil when
+// the group is empty or failed) and each group's lowest-index candidate
+// error; the final error is non-nil only when ctx was cancelled. Even
+// then the per-group results are returned: each reflects only
+// fully-simulated candidates, so a group's Best is its incumbent-so-far —
+// a valid (if possibly non-optimal) configuration that callers surfacing
+// graceful degradation may report alongside the error.
 //
-// With pruning active, a first parallel pass prechecks every candidate (so
-// a candidate whose simulation would error reports it even when the bounds
-// would have skipped it) and prices it with the tier-1 analytic floor. The
-// pricing pass then takes the candidates cheapest-floor-first, skips each
-// one its group's incumbent covers, and pays the tier-2 exact replay only
-// for candidates the floor fails to settle. The worker that resolves a
-// group's last candidate settles the group. The winner — and the
-// lowest-index error — is provably the one the unpruned path reports.
+// The groups are the pool's work items: each is prechecked, priced,
+// settled and checkpointed by the worker that took it (price), so no
+// state is shared between workers but the counters and the checkpoint
+// sink. Groups are handed out largest candidate count first, so a heavy
+// group does not start last and leave the other workers idle while it
+// drains.
 func evalGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [][]core.Plan, keys []string, opt Options) ([]*Best, []error, error) {
 	if opt.Stats == nil {
 		// Progress is built on the counters; a private set stands in when
@@ -600,202 +757,49 @@ func evalGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 		defer progressMu.Unlock()
 		opt.Progress(opt.Stats.Snapshot())
 	}
-	var jobs []job
-	bounds := make([]int, 0, len(groups)+1) // group boundaries in jobs
-	bounds = append(bounds, 0)
-	for gi, g := range groups {
-		for i, p := range g {
-			jobs = append(jobs, job{plan: p, group: gi, idx: i})
-		}
-		bounds = append(bounds, len(jobs))
-	}
-	// Each group's pending counter falls by one as each of its candidates
-	// resolves: simulated, bound-skipped, failed at precheck or deferred.
 	famStats := make([]*FamilyStats, len(groups))
-	pending := make([]atomic.Int64, len(groups))
-	opt.Stats.Enumerated.Add(int64(len(jobs)))
+	order := make([]int, len(groups))
 	for gi, g := range groups {
 		famStats[gi] = opt.Stats.Family(keys[gi])
 		famStats[gi].Enumerated.Add(int64(len(g)))
-		pending[gi].Store(int64(len(g)))
+		opt.Stats.Enumerated.Add(int64(len(g)))
+		order[gi] = gi
 	}
-
 	progress(true) // enumeration counted: the 0%-done snapshot
 
-	order := make([]int, len(jobs))
-	for i := range order {
-		order[i] = i
-	}
-	prune := !opt.NoPrune
-	workers := parallel.Resolve(opt.Workers)
-	eopt := engine.Options{Params: opt.Params}
-	outs := make([]simOut, len(jobs))
-	incs := make([]incumbent, len(groups))
-	par := engine.Defaults()
+	sort.SliceStable(order, func(a, b int) bool { return len(groups[order[a]]) > len(groups[order[b]]) })
+	p := &pricer{ctx: ctx, c: c, m: m, opt: opt, par: engine.Defaults(), progress: progress}
 	if opt.Params != nil {
-		par = *opt.Params
+		p.par = *opt.Params
 	}
-	if prune && len(jobs) > 0 {
-		// Precheck and floor-price every candidate on the same worker pool
-		// the simulations use (each entry is independent, so the pass is
-		// deterministic). Recording precheck failures here, before any
-		// pruning decision, is what makes the per-candidate errors
-		// independent of pruning: the failing candidate reports even when
-		// the bounds would have skipped its simulation. A cancelled pass
-		// leaves the pricing pass below nothing to start: its MapCtx
-		// returns ctx.Err() before the first item.
-		lbs := make([]float64, len(jobs))
-		parallel.MapCtx(ctx, workers, jobs, func(i int, _ job) (struct{}, error) {
-			j := &jobs[i]
-			if err := engine.Precheck(c, m, j.plan, eopt); err != nil {
-				outs[i].err = fmt.Errorf("search: %v: %w", j.plan, err)
-				j.failed = true
-				return struct{}{}, nil
-			}
-			j.flop = m.BatchFlopPerGPU(j.plan.MicroBatch, j.plan.NumMicro, j.plan.PP, j.plan.TP)
-			// Tier 1: the cheap floor. Whether an exact tier-2 price exists
-			// is a trait of the method, recorded for the pricing pass.
-			tr := schedule.TraitsOf(j.plan.Method)
-			j.replay = tr.StepLB != nil || tr.StepLBCached != nil
-			lb := analytic.Floor(c, m, j.plan, &par)
-			lbs[i] = lb
-			if lb > 0 {
-				j.ub = j.flop / lb
-			} else {
-				j.ub = math.Inf(1)
-			}
-			return struct{}{}, nil
-		})
-		// Cheapest (fastest-looking) bound first, stable on the flat
-		// enumeration order: the likely winners are priced early and the
-		// incumbent tightens before the long tail is reached.
-		sort.SliceStable(order, func(a, b int) bool { return lbs[order[a]] < lbs[order[b]] })
-	}
-
-	countSim := func(j *job) {
-		opt.Stats.Simulated.Add(1)
-		famStats[j.group].Simulated.Add(1)
-		progress(false)
-	}
-	countSkip := func(j *job) {
-		opt.Stats.BoundSkipped.Add(1)
-		famStats[j.group].BoundSkipped.Add(1)
-		if !j.exact {
-			// Skipped on the tier-1 floor alone: the candidate never paid
-			// an exact replay.
-			opt.Stats.FlooredOut.Add(1)
-			famStats[j.group].FlooredOut.Add(1)
-		}
-		progress(false)
-	}
-	simulate := func(ji int) {
-		j := &jobs[ji]
-		r, err := engine.SimulateOpts(c, m, j.plan, eopt)
-		countSim(j) // reached the simulator, error or not
-		if err != nil {
-			// Enumeration bugs should surface loudly; feasibility issues
-			// are filtered beforehand, and the precheck already guarantees
-			// pruning cannot mask this error.
-			outs[ji].err = fmt.Errorf("search: %v: %w", j.plan, err)
-			return
-		}
-		outs[ji] = simOut{res: r, ran: true}
-		incs[j.group].update(r.Throughput, j.idx)
-	}
-	// settle runs once per group, on the worker that takes the group's
-	// pending counter to zero: the atomic decrement orders it after every
-	// sibling's writes, so the group's jobs, results and incumbent are
-	// final. Every deferred candidate was published to the incumbent at
-	// its exact price, which is its simulated throughput bit for bit, so
-	// the incumbent covers all of them but the one it names: that one
-	// simulates (it is the winner), the rest are bound skips. A cancelled
-	// run settles nothing, so a cut-off group is never checkpointed.
+	bests := make([]*Best, len(groups))
+	errs := make([]error, len(groups))
 	var checkpointMu sync.Mutex
-	settle := func(gi int) {
-		if pending[gi].Add(-1) != 0 || ctx.Err() != nil {
-			return
-		}
-		for ji := bounds[gi]; ji < bounds[gi+1]; ji++ {
-			if j := &jobs[ji]; j.deferred {
-				if incs[gi].covers(j.ub, j.idx) {
-					countSkip(j)
-				} else {
-					simulate(ji)
-				}
-			}
-		}
-		if opt.Checkpoint == nil {
-			return
-		}
-		// Errored groups re-run on resume; a group with nothing simulated
-		// has nothing worth journaling.
-		if b, err := reduce(outs[bounds[gi]:bounds[gi+1]]); err == nil && b != nil {
+	_, ctxErr := parallel.MapCtx(ctx, opt.Workers, order, func(_ int, gi int) (struct{}, error) {
+		outs, done := p.price(groups[gi], famStats[gi])
+		bests[gi], errs[gi] = reduce(outs)
+		// A cut-off or errored group re-runs on resume; a group with
+		// nothing simulated has nothing worth journaling.
+		if done && opt.Checkpoint != nil && errs[gi] == nil && bests[gi] != nil {
 			checkpointMu.Lock()
 			defer checkpointMu.Unlock()
-			opt.Checkpoint(GroupKey{Family: keys[gi], Batch: groups[gi][0].BatchSize()}, *b)
+			opt.Checkpoint(GroupKey{Family: keys[gi], Batch: groups[gi][0].BatchSize()}, *bests[gi])
 		}
-	}
-	_, ctxErr := parallel.MapCtx(ctx, workers, order, func(_ int, ji int) (struct{}, error) {
-		j := &jobs[ji]
-		if prune && j.replay && !j.failed && !incs[j.group].covers(j.ub, j.idx) {
-			// Tier 2: the floor failed to settle this candidate against the
-			// incumbent; pay the exact O(ops) replay once. Both tiers are
-			// admissible, so tightening the bound here can only turn "maybe"
-			// into "provably not the winner" — never the other way.
-			lb, exact := analytic.LowerBound(c, m, j.plan, &par)
-			opt.Stats.ReplayPriced.Add(1)
-			famStats[j.group].ReplayPriced.Add(1)
-			if lb > 0 {
-				j.ub = j.flop / lb
-			} else {
-				j.ub = math.Inf(1)
-			}
-			if j.exact = exact; exact {
-				// The replay is the simulated time bit for bit, so the ub
-				// is this candidate's true throughput: publish it so
-				// siblings prune against it immediately.
-				incs[j.group].update(j.ub, j.idx)
-			}
-		}
-		switch {
-		case j.failed:
-			// The precheck already recorded the exact error the simulation
-			// would produce; count it as simulated, which is what the
-			// unpruned path would have done.
-			countSim(j)
-		case prune && incs[j.group].covers(j.ub, j.idx):
-			countSkip(j)
-		case prune && j.exact:
-			// Simulating now would learn nothing the exact price has not;
-			// the group's settle simulates the candidate if it wins.
-			j.deferred = true
-		default:
-			simulate(ji)
-		}
-		settle(j.group)
 		return struct{}{}, nil
 	})
 	progress(true) // terminal snapshot (100% unless ctx cancelled the run)
-
-	bests := make([]*Best, len(groups))
-	errs := make([]error, len(groups))
-	for gi := range groups {
-		bests[gi], errs[gi] = reduce(outs[bounds[gi]:bounds[gi+1]])
-	}
 	return bests, errs, ctxErr
 }
 
 // Sweep runs the family's search across batch sizes, skipping batches with
 // no feasible configuration, and returns the Figure 7 series in batch
-// order. It is SweepAll over the one family: all batches' candidate plans
-// share one work list on a single worker pool, so Options.Workers is a
-// true bound on concurrent simulations and no barrier separates batches.
-// Results are identical to calling Optimize per batch, and a failing
-// batch fails the sweep with the error of the first failing batch in
-// the order given. Cancelling ctx aborts the sweep between candidate
-// simulations and returns the incumbents-so-far (each batch's best
-// fully-simulated candidate) alongside ctx.Err(); callers that cannot use
-// a partial table must discard it.
+// order. It is SweepAll over the one family: each batch is one group on
+// the worker pool. Results are identical to calling Optimize per batch,
+// and a failing batch fails the sweep with the error of the first failing
+// batch in the order given. Cancelling ctx aborts the sweep between
+// candidate simulations and returns the incumbents-so-far (each batch's
+// best fully-simulated candidate) alongside ctx.Err(); callers that
+// cannot use a partial table must discard it.
 func Sweep(ctx context.Context, c hw.Cluster, m model.Transformer, f Family, batches []int, opt Options) ([]Best, error) {
 	out, err := SweepAll(ctx, c, m, []Family{f}, batches, opt)
 	if errors.Is(err, ErrInfeasible) {
@@ -804,19 +808,18 @@ func Sweep(ctx context.Context, c hw.Cluster, m model.Transformer, f Family, bat
 	return out[f], err
 }
 
-// SweepAll runs the sweeps of several families over one shared work list:
-// every family's candidates at every batch size are flattened into a
-// single bounded worker pool, so a family with few candidates no longer
-// leaves workers idle while another family's long tail drains, and the
-// branch-and-bound incumbents stay per (family, batch) group. Results are
-// identical to calling Sweep per family; families with no feasible
-// configuration at any batch are omitted from the map, and ErrInfeasible
-// is returned only when that leaves the map empty. A candidate error
-// fails the sweep: SweepAll returns the error of the first failing group
-// in (family, batch) order — the same with and without pruning, at any
-// worker count. Cancelling ctx aborts the sweep between candidate
-// simulations and returns the incumbents-so-far — each (family, batch)
-// group's best fully-simulated candidate, a valid if possibly non-optimal
+// SweepAll runs the sweeps of several families on one worker pool. Every
+// (family, batch) pair is one group: the pool enumerates the groups, then
+// prices each start to finish on one worker, largest group first, with
+// the branch-and-bound incumbent kept per group. Results are identical to
+// calling Sweep per family; families with no feasible configuration at
+// any batch are omitted from the map, and ErrInfeasible is returned only
+// when that leaves the map empty. A candidate error fails the sweep:
+// SweepAll returns the error of the first failing group in (family,
+// batch) order — the same with and without pruning, at any worker count.
+// Cancelling ctx aborts the sweep between candidate simulations and
+// returns the incumbents-so-far — each (family, batch) group's best
+// fully-simulated candidate, a valid if possibly non-optimal
 // configuration — alongside ctx.Err(). The service layer turns that
 // partial map into a degraded response on deadline; callers that cannot
 // use a partial table must discard it on error.
@@ -826,31 +829,35 @@ func SweepAll(ctx context.Context, c hw.Cluster, m model.Transformer, fams []Fam
 	}
 	// cells holds one winner per (family, batch), in that order. Resumed
 	// groups — journaled winners of a previous, interrupted run — fill
-	// theirs before enumeration; the rest share one flat pool and fill
-	// theirs from its results.
-	cells := make([]*Best, 0, len(fams)*len(batches))
+	// theirs up front; the pool fills the rest.
+	cells := make([]*Best, len(fams)*len(batches))
 	var fresh []int // the cells the pool prices, in group order
-	var groups [][]core.Plan
 	var keys []string
-	for _, f := range fams {
+	for fi, f := range fams {
 		key := f.Info().Key
-		for _, b := range batches {
+		for bi, b := range batches {
+			ci := fi*len(batches) + bi
 			if rb, ok := opt.Resume[GroupKey{Family: key, Batch: b}]; ok {
-				cells = append(cells, &rb)
+				cells[ci] = &rb
 				continue
 			}
-			fresh = append(fresh, len(cells))
-			cells = append(cells, nil)
-			groups = append(groups, Enumerate(ctx, c, m, f, b, opt))
+			fresh = append(fresh, ci)
 			keys = append(keys, key)
 		}
 	}
-	bests, errs, err := evalGroups(ctx, c, m, groups, keys, opt)
-	for g, ci := range fresh {
-		if err == nil && errs[g] != nil {
-			return nil, errs[g]
+	groups, err := parallel.MapCtx(ctx, opt.Workers, fresh, func(_ int, ci int) ([]core.Plan, error) {
+		return Enumerate(ctx, c, m, fams[ci/len(batches)], batches[ci%len(batches)], opt), nil
+	})
+	if err == nil {
+		var bests []*Best
+		var errs []error
+		bests, errs, err = evalGroups(ctx, c, m, groups, keys, opt)
+		for g, ci := range fresh {
+			if err == nil && errs[g] != nil {
+				return nil, errs[g]
+			}
+			cells[ci] = bests[g]
 		}
-		cells[ci] = bests[g]
 	}
 	out := map[Family][]Best{}
 	for fi, f := range fams {

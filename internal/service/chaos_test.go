@@ -48,7 +48,7 @@ func TestShedWhenSaturated(t *testing.T) {
 		}
 		waiterDone <- err
 	}()
-	waitFor(t, "the waiter to park", func() bool { return s.Health(context.Background()).Queued == 1 })
+	waitFor(t, "the waiter to park", func() bool { return s.Health().Queued == 1 })
 
 	_, shedErr := s.acquire(context.Background())
 	if !errors.Is(shedErr, ErrOverloaded) {
@@ -61,7 +61,7 @@ func TestShedWhenSaturated(t *testing.T) {
 		t.Errorf("shed error is not marked retryable: %v", shedErr)
 	}
 
-	h := s.Health(context.Background())
+	h := s.Health()
 	if h.Status != "degraded" || h.InFlight != 1 || h.Queued != 1 || h.ShedTotal != 1 {
 		t.Errorf("health under saturation = %+v", h)
 	}
@@ -71,8 +71,8 @@ func TestShedWhenSaturated(t *testing.T) {
 	if err := <-waiterDone; err != nil {
 		t.Fatalf("parked waiter err = %v", err)
 	}
-	waitFor(t, "health to recover", func() bool { return s.Health(context.Background()).Status == "ok" })
-	if h := s.Health(context.Background()); h.InFlight != 0 || h.Queued != 0 {
+	waitFor(t, "health to recover", func() bool { return s.Health().Status == "ok" })
+	if h := s.Health(); h.InFlight != 0 || h.Queued != 0 {
 		t.Errorf("health after drain = %+v", h)
 	}
 }
@@ -96,7 +96,7 @@ func TestCancelWhileQueuedNoLeak(t *testing.T) {
 			done <- err
 		}()
 	}
-	waitFor(t, "all waiters to park", func() bool { return s.Health(context.Background()).Queued == waiters })
+	waitFor(t, "all waiters to park", func() bool { return s.Health().Queued == waiters })
 	cancel()
 	for i := 0; i < waiters; i++ {
 		select {
@@ -108,7 +108,7 @@ func TestCancelWhileQueuedNoLeak(t *testing.T) {
 			t.Fatal("queued waiter did not unblock on cancellation")
 		}
 	}
-	if q := s.Health(context.Background()).Queued; q != 0 {
+	if q := s.Health().Queued; q != 0 {
 		t.Fatalf("queued = %d after cancellation, want 0", q)
 	}
 	release()
@@ -230,7 +230,7 @@ func TestHTTPJobPanicContained(t *testing.T) {
 	if ok.Table != clean.Table {
 		t.Error("table after recovered panic differs from fault-free run")
 	}
-	if h := s.Health(context.Background()); h.InFlight != 0 {
+	if h := s.Health(); h.InFlight != 0 {
 		t.Errorf("in_flight = %d after panic, want 0 (slot leaked)", h.InFlight)
 	}
 }
@@ -261,7 +261,7 @@ func TestHTTPShedAndRetryAfter(t *testing.T) {
 		resp.Body.Close()
 		parked <- resp.StatusCode
 	}()
-	waitFor(t, "the HTTP waiter to park", func() bool { return s.Health(context.Background()).Queued >= 1 })
+	waitFor(t, "the HTTP waiter to park", func() bool { return s.Health().Queued >= 1 })
 
 	resp, err := http.Post(srv.URL+"/v1/search", "application/json", bytes.NewReader(raw))
 	if err != nil {

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -122,7 +124,7 @@ func TestDefaultCostModelConfig(t *testing.T) {
 	if resp.Table == def.Table {
 		t.Error("DefaultCostModel was not applied to a request without cost_model")
 	}
-	h := New(Config{}).Health(ctx)
+	h := New(Config{}).Health()
 	found := false
 	for _, name := range h.CostModels {
 		if name == "paper" {
@@ -132,6 +134,27 @@ func TestDefaultCostModelConfig(t *testing.T) {
 	if !found {
 		t.Errorf("healthz cost_models = %v, want it to include \"paper\"", h.CostModels)
 	}
+}
+
+// overflowProfilePath writes a calibrated profile that passes
+// Profile.Validate but overflows every plan's batch time (a kernel launch
+// of 1.79e308 s) and returns its path.
+func overflowProfilePath(t *testing.T) string {
+	t.Helper()
+	prof := cost.DefaultProfile()
+	prof.KernelLaunch = 1.79e308
+	if err := prof.Validate(); err != nil {
+		t.Fatalf("profile rejected by Validate: %v", err)
+	}
+	raw, err := json.Marshal(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "overflow.json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // nanFwdModel is the paper cost model with a NaN forward duration: the
@@ -158,21 +181,8 @@ func TestSearchCandidateErrorFailsRequest(t *testing.T) {
 	if _, err := cost.Lookup("test-nan-fwd"); err != nil { // idempotent under -count>1
 		cost.Register("test-nan-fwd", func() cost.Model { return nanFwdModel{} })
 	}
-	prof := cost.DefaultProfile()
-	prof.KernelLaunch = 1.79e308
-	if err := prof.Validate(); err != nil {
-		t.Fatalf("profile rejected by Validate: %v", err)
-	}
-	raw, err := json.Marshal(prof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	overflow := filepath.Join(t.TempDir(), "overflow.json")
-	if err := os.WriteFile(overflow, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
-	for _, cm := range []string{"test-nan-fwd", "calibrated:" + overflow} {
+	for _, cm := range []string{"test-nan-fwd", "calibrated:" + overflowProfilePath(t)} {
 		st := openStore(t, t.TempDir())
 		s := New(Config{Store: st})
 		req := SearchRequest{Model: "6.6B", Cluster: "paper", Batches: []int{32}, CostModel: cm}
@@ -188,5 +198,40 @@ func TestSearchCandidateErrorFailsRequest(t *testing.T) {
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestHTTPSearchInvalidCostsIs400 pins the status of a search whose own
+// cost model cannot be simulated: a calibrated profile that overflows the
+// batch time is the request's fault, so /v1/search answers 400 with the
+// engine's message, not 500. A repeat answers 400 again, and nothing is
+// cached or stored.
+func TestHTTPSearchInvalidCostsIs400(t *testing.T) {
+	st := openStore(t, t.TempDir())
+	defer st.Close()
+	s := New(Config{Store: st})
+	srv := httptest.NewServer(Handler(s))
+	defer srv.Close()
+	req := SearchRequest{Model: "6.6B", Cluster: "paper", Batches: []int{32},
+		CostModel: "calibrated:" + overflowProfilePath(t)}
+	for attempt := 1; attempt <= 2; attempt++ {
+		var body struct {
+			Error string `json:"error"`
+		}
+		if code := postJSON(t, srv.URL+"/v1/search", req, &body); code != http.StatusBadRequest {
+			t.Errorf("attempt %d: status %d, want 400 (%s)", attempt, code, body.Error)
+		}
+		if !strings.Contains(body.Error, "engine: batch time overflows") {
+			t.Errorf("attempt %d: error %q does not carry the engine's message", attempt, body.Error)
+		}
+	}
+	if w := st.Stats().Writes; w != 0 {
+		t.Errorf("%d failed results reached the store", w)
+	}
+	s.mu.Lock()
+	cached := len(s.cache)
+	s.mu.Unlock()
+	if cached != 0 {
+		t.Errorf("%d failed results reached the cache", cached)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"bfpp/internal/fault"
-	"bfpp/internal/search"
 	"bfpp/internal/store"
 )
 
@@ -96,7 +95,7 @@ func TestStoreWriteFailureDegrades(t *testing.T) {
 	if resp.Table == "" {
 		t.Error("empty table")
 	}
-	h := s.Health(context.Background())
+	h := s.Health()
 	if h.Store == nil || h.Store.OK {
 		t.Errorf("health does not report the degraded store: %+v", h.Store)
 	}
@@ -127,7 +126,7 @@ func TestNilStoreBitForBit(t *testing.T) {
 	if withStore.Table != without.Table {
 		t.Error("store-backed and plain services disagree on the table")
 	}
-	if h := New(Config{}).Health(context.Background()); h.Store != nil || h.Replicas != nil {
+	if h := New(Config{}).Health(); h.Store != nil {
 		t.Errorf("plain service health has durability sections: %+v", h)
 	}
 }
@@ -189,88 +188,6 @@ func TestJournalResumeByteIdentical(t *testing.T) {
 				take, resumed.Stats.Enumerated, full.Stats.Enumerated)
 		}
 		j2.Close()
-	}
-}
-
-// fakeSharder prices groups in process through search.Optimize — the
-// service-side contract test needs a Sharder, not a full coordinator
-// (internal/dispatch has its own chaos suite and cannot be imported here).
-type fakeSharder struct {
-	health []ReplicaHealth
-}
-
-func (f *fakeSharder) Dispatch(ctx context.Context, req SearchRequest, groups []search.GroupKey) (map[search.GroupKey]search.Best, error) {
-	job, _, err := resolveSearch(req)
-	if err != nil {
-		return nil, err
-	}
-	out := map[search.GroupKey]search.Best{}
-	for _, g := range groups {
-		fam, ok := search.FamilyByKey(g.Family)
-		if !ok {
-			continue
-		}
-		best, err := search.Optimize(ctx, job.cluster, job.model, fam, g.Batch, search.Options{
-			MaxMicroBatch: job.maxMB, NoPrune: job.noPrune,
-		})
-		if err != nil {
-			continue // infeasible: absent from the map
-		}
-		out[g] = best
-	}
-	return out, nil
-}
-
-func (f *fakeSharder) Health(context.Context) []ReplicaHealth { return f.health }
-
-// TestSharderWiredByteIdentical pins the dispatch path at the service
-// layer: a Sharder-backed service returns the byte-identical table, and
-// /healthz carries the replica probes.
-func TestSharderWiredByteIdentical(t *testing.T) {
-	ctx := context.Background()
-	want, err := New(Config{}).Search(ctx, smallReq())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := &fakeSharder{health: []ReplicaHealth{
-		{Name: "r0", OK: true},
-		{Name: "r1", OK: false, Err: "connection refused"},
-	}}
-	s := New(Config{Sharder: sh})
-	got, err := s.Search(ctx, smallReq())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Table != want.Table {
-		t.Errorf("dispatched table differs:\n--- local ---\n%s--- dispatched ---\n%s", want.Table, got.Table)
-	}
-	h := s.Health(context.Background())
-	if len(h.Replicas) != 2 {
-		t.Fatalf("health replicas = %d, want 2", len(h.Replicas))
-	}
-	if h.Status != "degraded" {
-		t.Errorf("status = %q, want degraded (one replica down)", h.Status)
-	}
-}
-
-// TestSharderJournalsWinners pins that the dispatch path journals fresh
-// winners just like the local path checkpoints.
-func TestSharderJournalsWinners(t *testing.T) {
-	ctx := context.Background()
-	j := openJournal(t, t.TempDir())
-	defer j.Close()
-	s := New(Config{Sharder: &fakeSharder{}, Journal: j})
-	resp, err := s.Search(ctx, smallReq())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, key, _ := resolveSearch(smallReq())
-	cells := 0
-	for _, fr := range resp.Families {
-		cells += len(fr.Bests)
-	}
-	if got := len(j.Entries(key)); got != cells {
-		t.Errorf("journaled %d winners, want %d", got, cells)
 	}
 }
 

@@ -35,8 +35,8 @@ func (s *Service) aggregate(snap search.ProgressSnapshot) {
 // exposition format (version 0.0.4): job-slot load, load sheds, the
 // search cache and durable-store hit rates, store/journal durability
 // counters, and the lifetime pruning-cascade totals (overall and per
-// family). It reads raw counters only — no replica probes, no locks held
-// across I/O — so a scrape is cheap at any load.
+// family). It reads raw counters only — no locks held across I/O — so a
+// scrape is cheap at any load.
 func (s *Service) WriteMetrics(w io.Writer) {
 	gauge := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)

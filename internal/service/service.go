@@ -86,11 +86,6 @@ type Config struct {
 	// restart replays the journal and prices only the unfinished groups,
 	// producing a byte-identical table.
 	Journal *store.Journal
-	// Sharder, when non-nil, distributes sweeps across replicas instead
-	// of running search.SweepAll in process (internal/dispatch provides
-	// the coordinator). Journal-resumed groups are subtracted before
-	// dispatch; the merged table is byte-identical either way.
-	Sharder Sharder
 	// DefaultCostModel is the cost-model spelling applied to requests that
 	// do not carry their own (bfpp-serve -costmodel). Empty means the paper
 	// model. The spelling is resolved per request through the cost
@@ -165,10 +160,6 @@ type Health struct {
 	// configured. Degraded-as-data: write errors leave the service up
 	// (serving and caching from memory) and show here.
 	Store *StoreHealth `json:"store,omitempty"`
-	// Replicas reports the shard replicas' live health probes, when a
-	// sharder is configured. A down replica degrades the fleet; it never
-	// fails the probe.
-	Replicas []ReplicaHealth `json:"replicas,omitempty"`
 	// CostModels lists the registered cost-model spellings (fixed names,
 	// then pattern labels) a request's cost_model field accepts.
 	CostModels []string `json:"cost_models,omitempty"`
@@ -187,13 +178,8 @@ type StoreHealth struct {
 	Journal *store.Stats `json:"journal,omitempty"`
 }
 
-// healthProbeTimeout bounds the replica probes a Health call performs.
-const healthProbeTimeout = 2 * time.Second
-
-// Health reports the service's load, durability and replication state. The
-// caller's context bounds the replica probes (further capped by
-// healthProbeTimeout).
-func (s *Service) Health(ctx context.Context) Health {
+// Health reports the service's load and durability state.
+func (s *Service) Health() Health {
 	h := Health{
 		Status:     "ok",
 		InFlight:   int(s.inFlight.Load()),
@@ -224,16 +210,6 @@ func (s *Service) Health(ctx context.Context) Health {
 			h.Status = "degraded"
 		}
 		h.Store = sh
-	}
-	if s.cfg.Sharder != nil {
-		probeCtx, cancel := context.WithTimeout(ctx, healthProbeTimeout)
-		defer cancel()
-		h.Replicas = s.cfg.Sharder.Health(probeCtx)
-		for _, r := range h.Replicas {
-			if !r.OK {
-				h.Status = "degraded"
-			}
-		}
 	}
 	return h
 }
@@ -366,8 +342,8 @@ func (s *Service) SearchStream(ctx context.Context, req SearchRequest, progress 
 
 func (s *Service) searchWith(ctx context.Context, req SearchRequest, progress func(search.ProgressSnapshot)) (SearchResponse, error) {
 	// The config default fills the request's cost_model before
-	// canonicalization, so the cache key, the journal key and a dispatched
-	// request all carry the effective choice.
+	// canonicalization, so the cache key and the journal key both carry the
+	// effective choice.
 	if req.CostModel == "" {
 		req.CostModel = s.cfg.DefaultCostModel
 	}
@@ -409,13 +385,7 @@ func (s *Service) searchWith(ctx context.Context, req SearchRequest, progress fu
 		return SearchResponse{}, err
 	}
 
-	resume := s.journalResume(key)
-	var resp SearchResponse
-	if s.cfg.Sharder != nil {
-		resp, err = s.dispatchSearch(ctx, req, job, key, resume)
-	} else {
-		resp, err = s.localSearch(ctx, req, job, key, resume, progress)
-	}
+	resp, err := s.localSearch(ctx, req, job, key, s.journalResume(key), progress)
 	if err != nil {
 		return SearchResponse{}, err
 	}
@@ -428,9 +398,9 @@ func (s *Service) searchWith(ctx context.Context, req SearchRequest, progress fu
 	return resp, nil
 }
 
-// localSearch runs the sweep in process: the pre-dispatch path, plus
-// journal checkpointing (every resolved group durably recorded as the
-// sweep runs) and resume (journaled groups not re-priced).
+// localSearch runs the sweep in process, with journal checkpointing
+// (every resolved group durably recorded as the sweep runs) and resume
+// (journaled groups not re-priced).
 func (s *Service) localSearch(ctx context.Context, req SearchRequest, job searchJob, key string, resume map[search.GroupKey]search.Best, progress func(search.ProgressSnapshot)) (SearchResponse, error) {
 	stats := &search.Stats{}
 	opt := search.Options{
@@ -470,9 +440,15 @@ func (s *Service) localSearch(ctx context.Context, req SearchRequest, job search
 			// the pre-service CLI (which warned per family and printed the
 			// header-only table).
 			results = map[search.Family][]search.Best{}
+		case errors.Is(err, engine.ErrInvalidCosts):
+			// The request's cost model derived a duration the simulation
+			// cannot charge (a NaN or overflowing calibration value): the
+			// caller's input, not a server fault. Nothing is cached or
+			// stored.
+			return SearchResponse{}, badRequestf("%v", err)
 		default:
-			// A candidate failed (a cost model that prices it NaN, say):
-			// fail the request, which leaves nothing cached or stored.
+			// Any other candidate failure fails the request too, which
+			// leaves nothing cached or stored.
 			return SearchResponse{}, err
 		}
 	}
@@ -491,63 +467,6 @@ func (s *Service) localSearch(ctx context.Context, req SearchRequest, job search
 		})
 	}
 	s.aggregate(resp.Stats)
-	return resp, nil
-}
-
-// dispatchSearch runs the sweep through the configured shard coordinator:
-// journal-resumed groups are subtracted up front, the rest are priced by
-// the replica fleet, and the winners merge back in (family, batch) order —
-// byte-identical to the in-process table, because each group's winner is
-// deterministic wherever it is priced. Fresh winners are journaled like
-// the local path's checkpoints. Stats stay zero: the pruning counters
-// live on the replicas.
-func (s *Service) dispatchSearch(ctx context.Context, req SearchRequest, job searchJob, key string, resume map[search.GroupKey]search.Best) (SearchResponse, error) {
-	var groups []search.GroupKey
-	for _, f := range job.families {
-		fk := f.Info().Key
-		for _, b := range job.batches {
-			g := search.GroupKey{Family: fk, Batch: b}
-			if _, ok := resume[g]; !ok {
-				groups = append(groups, g)
-			}
-		}
-	}
-	winners, err := s.cfg.Sharder.Dispatch(fault.With(ctx, s.cfg.Injector), req, groups)
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return SearchResponse{}, ctxErr
-		}
-		return SearchResponse{}, fmt.Errorf("%w: %w", ErrTransient, err)
-	}
-	checkpoint := s.journalCheckpoint(key)
-	results := map[search.Family][]search.Best{}
-	for _, f := range job.families {
-		fk := f.Info().Key
-		for _, b := range job.batches {
-			g := search.GroupKey{Family: fk, Batch: b}
-			best, ok := resume[g]
-			if !ok {
-				if best, ok = winners[g]; ok && checkpoint != nil {
-					checkpoint(g, best)
-				}
-			}
-			if ok {
-				results[f] = append(results[f], best)
-			}
-		}
-	}
-	resp := SearchResponse{
-		Title: job.title(),
-		Table: search.Table(job.title(), results),
-	}
-	for _, f := range job.families {
-		info := f.Info()
-		resp.Families = append(resp.Families, FamilyResult{
-			Key:   info.Key,
-			Name:  info.Name,
-			Bests: results[f],
-		})
-	}
 	return resp, nil
 }
 

@@ -12,7 +12,8 @@
 #                   family (how far each family's registered bound
 #                   carries)
 #   parallel_scaling one (family, batch) search, serial (1 worker) vs
-#                   GOMAXPROCS workers
+#                   GOMAXPROCS workers (one group runs on one worker, so
+#                   this reads about 1.0; see ROADMAP item 5)
 #   service_overhead what the request/response layer (canonicalization,
 #                   job slot, response assembly) adds on top of the direct
 #                   pruned sweep: ServiceSearchCold / SweepFigure7Pruned,
