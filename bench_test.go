@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"bfpp"
-	"bfpp/internal/alloc"
 	"bfpp/internal/batchsize"
 	"bfpp/internal/collective"
 	"bfpp/internal/core"
@@ -107,22 +106,6 @@ func BenchmarkExtensionHybrid(b *testing.B) {
 	b.ReportMetric(100*last, "util%/seq=64")
 }
 
-// BenchmarkExtensionAllocator runs the Appendix D.2 caching-allocator
-// workload with and without the paper's mitigations.
-func BenchmarkExtensionAllocator(b *testing.B) {
-	w := alloc.Workload{Capacity: 1 << 20, StateBytes: 1 << 19,
-		ActivationBytes: 1 << 16, MicroBatches: 8, Steps: 100,
-		PreallocateState: true, SyncEvery: 1}
-	var flushes int
-	for i := 0; i < b.N; i++ {
-		bad := w
-		bad.PreallocateState = false
-		bad.SyncEvery = 0
-		flushes = bad.Run().Flushes
-	}
-	b.ReportMetric(float64(flushes), "flushes/unmitigated")
-}
-
 // Core primitives.
 
 // BenchmarkScheduleGeneration measures building the breadth-first program
@@ -174,32 +157,6 @@ func BenchmarkGridSearchOneBatch(b *testing.B) {
 // turns these into BENCH_search.json. The speedups over the original
 // serial, uncached evaluator, since deleted, are frozen in its history
 // block.
-
-// benchOptimize runs one 52B breadth-first search at batch 64.
-func benchOptimize(b *testing.B, opt search.Options) {
-	b.Helper()
-	c := hw.PaperCluster()
-	m := model.Model52B()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := search.Optimize(context.Background(), c, m, search.FamilyBreadthFirst, 64, opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSearchOptimizeSerial is the optimized path pinned to 1 worker
-// (caches and branch-and-bound on): it isolates the single-core wins.
-func BenchmarkSearchOptimizeSerial(b *testing.B) {
-	benchOptimize(b, search.Options{Workers: 1})
-}
-
-// BenchmarkSearchOptimizeParallel is the default configuration: GOMAXPROCS
-// workers plus caches and the branch-and-bound. Optimize is one (family,
-// batch) group, which the search prices on one worker at any width.
-func BenchmarkSearchOptimizeParallel(b *testing.B) {
-	benchOptimize(b, search.Options{})
-}
 
 // benchSweep runs the full Figure 7 / Table E.1 grid: every family at every
 // 52B paper batch size.
@@ -259,6 +216,14 @@ func BenchmarkSweepFigure7Pruned(b *testing.B) {
 	}
 }
 
+// BenchmarkSweepFigure7PrunedSerial is BenchmarkSweepFigure7Pruned on one
+// worker. scripts/bench.sh ratios the two as BENCH_search.json's
+// parallel_scaling: each Sweep call spreads its seven (family, batch)
+// groups over the pool, so the ratio shows what GOMAXPROCS workers buy.
+func BenchmarkSweepFigure7PrunedSerial(b *testing.B) {
+	benchSweep(b, search.Options{Workers: 1})
+}
+
 // BenchmarkSweepFigure7PrunedCostModel is BenchmarkSweepFigure7Pruned with
 // the pricing routed through an explicitly looked-up "paper" cost model
 // instead of the nil-Model fast default. The work is identical by
@@ -266,7 +231,7 @@ func BenchmarkSweepFigure7Pruned(b *testing.B) {
 // the registry indirection itself. scripts/bench.sh ratios it against the
 // default sweep as BENCH_search.json's cost_model_overhead, pinned near 1.
 func BenchmarkSweepFigure7PrunedCostModel(b *testing.B) {
-	cm, err := cost.Lookup("paper")
+	cm, err := cost.Registry.Lookup("paper")
 	if err != nil {
 		b.Fatal(err)
 	}

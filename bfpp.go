@@ -133,16 +133,19 @@ var (
 // Open scenario registries: models and clusters register by name at init
 // time (mirroring the schedule registry), and every surface — the CLI
 // flags, the service requests' "model"/"cluster" fields — resolves them
-// without code changes. LookupModel/LookupCluster resolve a registered
-// name (patterns included: a bare GPU count builds a LargeCluster).
+// without code changes. These bind the methods of model.Registry and
+// hw.Registry (one internal/registry table each): LookupModel and
+// LookupCluster return an error listing the registered spellings for an
+// unknown name, and cluster patterns run after the fixed names (a bare
+// GPU count builds a LargeCluster).
 var (
-	RegisterModel          = model.Register
-	LookupModel            = model.Lookup
-	ModelNames             = model.Names
-	RegisterCluster        = hw.Register
-	RegisterClusterPattern = hw.RegisterPattern
-	LookupCluster          = hw.Lookup
-	ClusterNames           = hw.Names
+	RegisterModel          = model.Registry.Register
+	LookupModel            = model.Registry.Lookup
+	ModelNames             = model.Registry.Names
+	RegisterCluster        = hw.Registry.Register
+	RegisterClusterPattern = hw.Registry.RegisterPattern
+	LookupCluster          = hw.Registry.Lookup
+	ClusterNames           = hw.Registry.Names
 )
 
 // Simulate runs one training batch of the configuration on the simulator

@@ -13,7 +13,7 @@
 // ("all" = the paper's four, "every" = all registered, including the
 // extension schedules), and -methods selects the families containing the
 // named schedules. Models and clusters resolve through the open
-// registries (model.Register, hw.Register).
+// registries (model.Registry, hw.Registry).
 //
 // The search runs branch-and-bound by default: candidates are priced with
 // the analytic step-time lower bound and simulated only when they can

@@ -16,8 +16,8 @@ import (
 func boundCostModels(t *testing.T) map[string]cost.Model {
 	t.Helper()
 	models := map[string]cost.Model{}
-	for _, name := range cost.FixedNames() {
-		cm, err := cost.Lookup(name)
+	for _, name := range cost.Registry.FixedNames() {
+		cm, err := cost.Registry.Lookup(name)
 		if err != nil {
 			t.Fatalf("Lookup(%q): %v", name, err)
 		}

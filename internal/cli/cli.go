@@ -15,38 +15,21 @@ import (
 	"bfpp/internal/search"
 )
 
-// ParseModel resolves a model name through the model registry, so models
-// published with model.Register parse without touching this package; the
-// error lists the registered names.
-func ParseModel(name string) (model.Transformer, error) {
-	if m, ok := model.Lookup(name); ok {
-		return m, nil
-	}
-	return model.Transformer{}, fmt.Errorf("unknown model %q (registered: %s)",
-		name, strings.Join(model.Names(), ", "))
-}
+// ParseModel resolves a model name through model.Registry, so models
+// registered there parse without touching this package.
+func ParseModel(name string) (model.Transformer, error) { return model.Registry.Lookup(name) }
 
-// ParseCluster resolves a cluster name through the cluster registry —
-// fixed names first, then the registered patterns (a bare GPU count
-// resolves to LargeCluster); the error lists the registered spellings.
-func ParseCluster(name string) (hw.Cluster, error) {
-	if c, ok := hw.Lookup(name); ok {
-		return c, nil
-	}
-	return hw.Cluster{}, fmt.Errorf("unknown cluster %q (registered: %s)",
-		name, strings.Join(hw.Names(), ", "))
-}
+// ParseCluster resolves a cluster spelling through hw.Registry: fixed names
+// first, then the patterns (a bare GPU count builds a LargeCluster).
+func ParseCluster(name string) (hw.Cluster, error) { return hw.Registry.Lookup(name) }
 
-// ParseCostModel resolves a cost-model spelling through the cost registry
-// — fixed names ("paper", "calibrated", "contended") first, then the
-// registered patterns ("calibrated:<profile.json>"); an empty spelling
-// selects the default paper model as a nil Model. The registry error
-// already lists the registered spellings.
+// ParseCostModel resolves a cost-model spelling through cost.Registry; an
+// empty spelling selects the default paper model as a nil Model.
 func ParseCostModel(name string) (cost.Model, error) {
 	if strings.TrimSpace(name) == "" {
 		return nil, nil
 	}
-	return cost.Lookup(name)
+	return cost.Registry.Lookup(name)
 }
 
 // ParseMethod resolves a schedule name through the method registry, so

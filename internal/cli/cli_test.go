@@ -42,6 +42,22 @@ func TestParseCluster(t *testing.T) {
 	}
 }
 
+// TestParseCostModel pins the one rule ParseCostModel adds to the cost
+// registry: an empty or blank spelling selects the paper model as nil.
+func TestParseCostModel(t *testing.T) {
+	for _, blank := range []string{"", "  "} {
+		if m, err := ParseCostModel(blank); m != nil || err != nil {
+			t.Errorf("%q: got %v, %v; want nil, nil", blank, m, err)
+		}
+	}
+	if m, err := ParseCostModel("Contended"); err != nil || m.Name() != "contended" {
+		t.Errorf("Contended: got %v, %v", m, err)
+	}
+	if _, err := ParseCostModel("warp-speed"); err == nil {
+		t.Error("unknown cost model should fail")
+	}
+}
+
 func TestParseMethod(t *testing.T) {
 	cases := map[string]core.Method{
 		"gpipe":         core.GPipe,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -79,13 +80,34 @@ func (p Profile) Validate() error {
 	return nil
 }
 
+// maxProfileBytes caps what LoadProfile reads: a profile encodes to about
+// 200 bytes, and a server resolves paths its clients name.
+const maxProfileBytes = 64 << 10
+
 // LoadProfile reads and validates a fitted profile from a JSON file written
 // by bfpp-calibrate (or by hand). Unknown fields are an error: a typoed key
-// silently falling back to a zero value would change pinned bytes.
+// silently falling back to a zero value would change pinned bytes. Only a
+// regular file of at most 64 KiB loads, so a FIFO or a device fails at
+// once instead of blocking the caller or filling its memory.
 func LoadProfile(path string) (Profile, error) {
-	raw, err := os.ReadFile(path)
+	fi, err := os.Stat(path)
 	if err != nil {
 		return Profile{}, fmt.Errorf("load profile: %w", err)
+	}
+	if !fi.Mode().IsRegular() {
+		return Profile{}, fmt.Errorf("load profile %s: not a regular file", path)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return Profile{}, fmt.Errorf("load profile: %w", err)
+	}
+	defer f.Close()
+	raw, err := io.ReadAll(io.LimitReader(f, maxProfileBytes+1))
+	if err != nil {
+		return Profile{}, fmt.Errorf("load profile: %w", err)
+	}
+	if len(raw) > maxProfileBytes {
+		return Profile{}, fmt.Errorf("load profile %s: larger than %d bytes", path, maxProfileBytes)
 	}
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -26,56 +27,69 @@ func testPlans() []core.Plan {
 	}
 }
 
+// TestRegistryLookup asserts every built-in spelling, in any case, builds
+// a model equal to its constructor's, and that an unknown spelling lists
+// the registered ones.
 func TestRegistryLookup(t *testing.T) {
-	for _, name := range []string{"paper", "PAPER", "calibrated", "contended"} {
-		m, err := Lookup(name)
+	for name, want := range map[string]Model{
+		"paper": paperModel{}, "PAPER": paperModel{},
+		"calibrated": Calibrated(DefaultProfile()), "Calibrated": Calibrated(DefaultProfile()),
+		"contended": contendedModel{}, "CONTENDED": contendedModel{},
+	} {
+		m, err := Registry.Lookup(name)
 		if err != nil {
 			t.Fatalf("Lookup(%q): %v", name, err)
 		}
-		if want := strings.ToLower(name); m.Name() != want {
-			t.Errorf("Lookup(%q).Name() = %q, want %q", name, m.Name(), want)
+		if m != want || m.Name() != strings.ToLower(name) {
+			t.Errorf("Lookup(%q) = %#v (%q), want %#v", name, m, m.Name(), want)
 		}
 	}
-	if got := FixedNames(); len(got) != 3 || got[0] != "paper" {
+	if got := Registry.FixedNames(); !slices.Equal(got, []string{"paper", "calibrated", "contended"}) {
 		t.Errorf("FixedNames() = %v, want [paper calibrated contended]", got)
 	}
-	if _, err := Lookup("bogus"); err == nil || !strings.Contains(err.Error(), "calibrated:<profile.json>") {
+	if _, err := Registry.Lookup("bogus"); err == nil || !strings.Contains(err.Error(), "calibrated:<profile.json>") {
 		t.Errorf("unknown-model error should list registered spellings, got %v", err)
 	}
 }
 
-func TestCalibratedPattern(t *testing.T) {
-	// A matched pattern with a broken payload is a load error, never
-	// "unknown model".
-	if _, err := Lookup("calibrated:/does/not/exist.json"); err == nil || strings.Contains(err.Error(), "unknown model") {
-		t.Errorf("missing profile should be a load error, got %v", err)
-	}
-	path := filepath.Join(t.TempDir(), "profile.json")
-	raw, err := json.Marshal(DefaultProfile())
+// writeProfile encodes p into a fresh file and returns its path.
+func writeProfile(t *testing.T, p Profile) string {
+	t.Helper()
+	raw, err := json.Marshal(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	path := filepath.Join(t.TempDir(), "profile.json")
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m, err := Lookup("calibrated:" + path)
-	if err != nil {
-		t.Fatalf("Lookup(calibrated:%s): %v", path, err)
+	return path
+}
+
+func TestCalibratedPattern(t *testing.T) {
+	// A matched pattern with a broken payload is a load error, never
+	// "unknown".
+	if _, err := Registry.Lookup("calibrated:/does/not/exist.json"); err == nil || strings.Contains(err.Error(), "unknown") {
+		t.Errorf("missing profile should be a load error, got %v", err)
 	}
-	if m.Name() != "calibrated" {
-		t.Errorf("pattern model name = %q", m.Name())
-	}
-	// Fingerprint covers content: same values as the fixed name's default.
-	def, _ := Lookup("calibrated")
-	if m.Fingerprint() != def.Fingerprint() {
-		t.Errorf("same profile content, different fingerprints:\n%s\n%s", m.Fingerprint(), def.Fingerprint())
+	path := writeProfile(t, DefaultProfile())
+	for _, spelling := range []string{"calibrated:" + path, "CALIBRATED:" + path} {
+		m, err := Registry.Lookup(spelling)
+		if err != nil {
+			t.Fatalf("Lookup(%s): %v", spelling, err)
+		}
+		// The same values as the fixed name's default profile build an
+		// equal model, so they share one fingerprint.
+		if want := Calibrated(DefaultProfile()); m != want || m.Fingerprint() != want.Fingerprint() {
+			t.Errorf("Lookup(%s) = %#v, want %#v", spelling, m, want)
+		}
 	}
 	// An unknown field must fail loudly, not silently zero a constant.
 	bad := filepath.Join(t.TempDir(), "bad.json")
 	if err := os.WriteFile(bad, []byte(`{"kernel_lunch": 1}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Lookup("calibrated:" + bad); err == nil {
+	if _, err := Registry.Lookup("calibrated:" + bad); err == nil {
 		t.Error("unknown profile field should fail to load")
 	}
 }
@@ -85,7 +99,7 @@ func TestCalibratedPattern(t *testing.T) {
 func TestDeriveDefaultsToPaper(t *testing.T) {
 	c := hw.PaperCluster()
 	m := model.Model6p6B()
-	paper, err := Lookup("paper")
+	paper, err := Registry.Lookup("paper")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +140,7 @@ func TestDefaultProfileReproducesPaper(t *testing.T) {
 func TestContendedModel(t *testing.T) {
 	c := hw.PaperClusterEthernet()
 	m := model.Model6p6B()
-	cont, err := Lookup("contended")
+	cont, err := Registry.Lookup("contended")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,173 +1,13 @@
 package cost
 
-import (
-	"fmt"
-	"strings"
-	"sync"
-	"sync/atomic"
-)
+import "bfpp/internal/registry"
 
-// The cost-model registry mirrors the model/cluster/schedule registries:
-// named constructors and parameterized patterns are published copy-on-write
-// at init time, and every consumer (the commands' -costmodel flags, the
-// service requests' "cost_model" field) resolves them by name. Fixed names
-// ("paper", "calibrated", "contended") are tried first; patterns
-// ("calibrated:<profile.json>") parse whatever the fixed names did not
-// match, in registration order.
-
-// modelEntry is one fixed-name registration.
-type modelEntry struct {
-	name    string
-	aliases []string
-	build   func() Model
-}
-
-// patternEntry is one parameterized registration: label documents the
-// accepted spelling ("calibrated:<profile.json>"), parse reports whether it
-// accepts the argument — and may fail loudly (a matched spelling whose
-// payload is broken, e.g. an unreadable profile file, is an error, not a
-// fall-through to "unknown model").
-type patternEntry struct {
-	label string
-	parse func(arg string) (Model, bool, error)
-}
-
-var (
-	modelTable   atomic.Pointer[[]modelEntry]
-	patternTable atomic.Pointer[[]patternEntry]
-	regMu        sync.Mutex // serializes registrations of both tables
-)
-
-// Register publishes a named cost-model constructor. Name and aliases match
-// case-insensitively. It is meant to be called at init time and panics on
-// an empty or duplicate spelling or a nil constructor — a registration bug
-// should fail loudly at startup, not shadow a model.
-func Register(name string, build func() Model, aliases ...string) {
-	if name == "" {
-		panic("cost: Register with an empty name")
-	}
-	if build == nil {
-		panic(fmt.Sprintf("cost: Register(%q) with a nil constructor", name))
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	var cur []modelEntry
-	if p := modelTable.Load(); p != nil {
-		cur = *p
-	}
-	for _, spelling := range append([]string{name}, aliases...) {
-		if _, ok := lookupFixed(cur, spelling); ok {
-			panic(fmt.Sprintf("cost: model %q registered twice", spelling))
-		}
-	}
-	next := make([]modelEntry, len(cur), len(cur)+1)
-	copy(next, cur)
-	next = append(next, modelEntry{name: name, aliases: aliases, build: build})
-	modelTable.Store(&next)
-}
-
-// RegisterPattern publishes a parameterized cost-model spelling, e.g.
-// "calibrated:<profile.json>" resolving to a calibrated model with the
-// profile loaded from disk. label is the placeholder shown in listings and
-// errors; parse returns ok=false to pass the argument on to the next
-// pattern, and a non-nil error when the spelling matched but its payload is
-// invalid. Patterns are consulted after the fixed names, in registration
-// order. Panics on an empty label, a nil parser or a duplicate label.
-func RegisterPattern(label string, parse func(arg string) (Model, bool, error)) {
-	if label == "" {
-		panic("cost: RegisterPattern with an empty label")
-	}
-	if parse == nil {
-		panic(fmt.Sprintf("cost: RegisterPattern(%q) with a nil parser", label))
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	var cur []patternEntry
-	if p := patternTable.Load(); p != nil {
-		cur = *p
-	}
-	for _, e := range cur {
-		if e.label == label {
-			panic(fmt.Sprintf("cost: model pattern %q registered twice", label))
-		}
-	}
-	next := make([]patternEntry, len(cur), len(cur)+1)
-	copy(next, cur)
-	next = append(next, patternEntry{label: label, parse: parse})
-	patternTable.Store(&next)
-}
-
-// lookupFixed resolves a spelling against a fixed-name table snapshot.
-func lookupFixed(table []modelEntry, name string) (Model, bool) {
-	want := strings.ToLower(name)
-	for _, e := range table {
-		if strings.ToLower(e.name) == want {
-			return e.build(), true
-		}
-		for _, a := range e.aliases {
-			if strings.ToLower(a) == want {
-				return e.build(), true
-			}
-		}
-	}
-	return nil, false
-}
-
-// Lookup resolves a registered cost model: fixed names (and aliases,
-// case-insensitive) first, then the registered patterns in order. Unlike
-// the model/cluster registries it returns an error, because a pattern
-// match can fail after matching (a calibrated profile that does not load);
-// the unknown-name error lists every registered spelling.
-func Lookup(name string) (Model, error) {
-	if p := modelTable.Load(); p != nil {
-		if m, ok := lookupFixed(*p, name); ok {
-			return m, nil
-		}
-	}
-	if p := patternTable.Load(); p != nil {
-		for _, e := range *p {
-			m, ok, err := e.parse(name)
-			if err != nil {
-				return nil, fmt.Errorf("cost: model %q: %w", name, err)
-			}
-			if ok {
-				return m, nil
-			}
-		}
-	}
-	return nil, fmt.Errorf("cost: unknown model %q (registered: %s)",
-		name, strings.Join(Names(), ", "))
-}
-
-// Names returns the registered spellings in registration order — the fixed
-// canonical names followed by the pattern labels — which is what an
-// "unknown cost model" error or a /healthz listing should show.
-func Names() []string {
-	var out []string
-	if p := modelTable.Load(); p != nil {
-		for _, e := range *p {
-			out = append(out, e.name)
-		}
-	}
-	if p := patternTable.Load(); p != nil {
-		for _, e := range *p {
-			out = append(out, e.label)
-		}
-	}
-	return out
-}
-
-// FixedNames returns only the fixed canonical names, in registration order
-// — the spellings tests can enumerate and construct without arguments.
-func FixedNames() []string {
-	var out []string
-	if p := modelTable.Load(); p != nil {
-		for _, e := range *p {
-			out = append(out, e.name)
-		}
-	}
-	return out
-}
+// Registry resolves the cost-model spellings every consumer accepts (the
+// commands' -costmodel flags, the service requests' "cost_model" field):
+// fixed names ("paper", "calibrated", "contended") first, then patterns
+// ("calibrated:<profile.json>") in registration order. A matched pattern
+// whose payload fails to load is an error, not an unknown name.
+var Registry = registry.New[Model]("cost model")
 
 // Default returns the default cost model — the paper formulas — selected
 // whenever Params.Model is nil.
@@ -175,8 +15,8 @@ func Default() Model { return paperModel{} }
 
 func init() {
 	// The built-in models register like any extension would.
-	Register("paper", func() Model { return paperModel{} })
-	Register("calibrated", func() Model { return Calibrated(DefaultProfile()) })
-	Register("contended", func() Model { return contendedModel{} })
-	RegisterPattern("calibrated:<profile.json>", parseCalibratedPattern)
+	Registry.Register("paper", func() Model { return paperModel{} })
+	Registry.Register("calibrated", func() Model { return Calibrated(DefaultProfile()) })
+	Registry.Register("contended", func() Model { return contendedModel{} })
+	Registry.RegisterPattern("calibrated:<profile.json>", parseCalibratedPattern)
 }

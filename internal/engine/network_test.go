@@ -6,7 +6,6 @@ import (
 	"bfpp/internal/core"
 	"bfpp/internal/hw"
 	"bfpp/internal/model"
-	"bfpp/internal/topology"
 )
 
 // The node-sharing model of Appendix A.3.1 as implemented: a data-parallel
@@ -45,22 +44,31 @@ func TestDPBandwidthSharing(t *testing.T) {
 	}
 }
 
-// The engine's link-selection rule must agree with the topology package's
-// notion of whether a data-parallel group spans nodes.
+// The engine's data-parallel link choice must agree with where the ranks
+// sit. Ranks run TP-fastest, then DP, then PP, GPUsPerNode to a node, so
+// data-parallel member d of the group at TP and PP index 0 is rank TP*d. A
+// group whose members all share node 0 must not touch the inter-node link,
+// and a group that leaves it must: slowing that link leaves the first
+// group's gradient reduction time unchanged and lengthens the second's.
 func TestDPLinkRuleMatchesTopology(t *testing.T) {
 	c := hw.PaperCluster()
-	for _, g := range []topology.Grid{
-		{TP: 1, DP: 8, PP: 8},
-		{TP: 2, DP: 4, PP: 8},
-		{TP: 2, DP: 8, PP: 4},
-		{TP: 8, DP: 8, PP: 1},
-		{TP: 4, DP: 16, PP: 1},
+	slow := c
+	slow.InterNode.Bandwidth /= 10
+	m := model.Model52B()
+	for _, g := range []struct{ tp, dp, pp int }{
+		{1, 8, 8}, {2, 4, 8}, {2, 8, 4}, {8, 8, 1}, {4, 16, 1},
 	} {
-		spans := g.DPGroupSpansNodes(c.GPUsPerNode)
-		// The engine uses TP*DP <= GPUsPerNode for "contained".
-		engineContained := g.TP*g.DP <= c.GPUsPerNode
-		if spans == engineContained {
-			t.Errorf("grid %+v: topology spans=%v but engine contained=%v", g, spans, engineContained)
+		spans := g.tp*(g.dp-1)/c.GPUsPerNode != 0 // the last member's node
+		p := core.Plan{Method: core.BreadthFirst, DP: g.dp, PP: g.pp, TP: g.tp,
+			MicroBatch: 1, NumMicro: g.pp, Loops: 64 / g.pp, OverlapDP: true, OverlapPP: true}
+		fast := DeriveCosts(c, m, p, Defaults()).Reduce
+		slowed := DeriveCosts(slow, m, p, Defaults()).Reduce
+		if fast <= 0 {
+			t.Fatalf("%+v: reduction time %g, want positive", g, fast)
+		}
+		if slower := slowed > fast; slower != spans {
+			t.Errorf("%+v: group spans nodes = %v, but a 10x slower inter-node link moved the reduction time %.4g -> %.4g s",
+				g, spans, fast, slowed)
 		}
 	}
 }

@@ -31,13 +31,12 @@ func AppendixELarge(ctx context.Context, cfg Config) (string, error) {
 		{"GPT-3 on 512 V100", hw.LargeCluster(512), model.GPT3(), []int{64, 128, 256}},
 		{"1T on 2048 V100", hw.LargeCluster(2048), model.Model1T(), []int{256, 512}},
 	} {
+		// Each group is priced on one worker, so the pruning counters are
+		// the same at any worker count.
+		opt := cfg.searchOptions()
 		stats := &search.Stats{}
-		// Workers pinned to 1: the bounded-out/simulated split depends on
-		// worker timing, and a persisted artifact must be byte-reproducible
-		// run over run. The sweep is small (a few hundred candidates after
-		// pruning), so the serial pool costs little.
-		results, err := search.SweepAll(ctx, sc.cluster, sc.model, fams, sc.batches,
-			search.Options{Stats: stats, Workers: 1})
+		opt.Stats = stats
+		results, err := search.SweepAll(ctx, sc.cluster, sc.model, fams, sc.batches, opt)
 		if err != nil {
 			return "", fmt.Errorf("appendixE-large: %s: %w", sc.name, err)
 		}

@@ -12,6 +12,7 @@ package figures
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -321,16 +322,20 @@ func scenarios() []scenario {
 // plan candidates feed the same bounded worker pool, so a short family's
 // tail no longer leaves workers idle while the next family enumerates.
 // Families infeasible at every batch are omitted, exactly as the old
-// sequential per-family sweep did.
+// sequential per-family sweep did. Any other candidate error, such as a
+// cost model whose durations the engine rejects, is wrapped, not hidden.
 func sweepAll(ctx context.Context, sc scenario, cfg Config) (map[search.Family][]search.Best, error) {
 	out, err := search.SweepAll(ctx, sc.cluster, sc.model, cfg.fams(), sc.batches, cfg.searchOptions())
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
+	switch {
+	case err == nil:
+		return out, nil
+	case ctx.Err() != nil:
+		return nil, ctx.Err()
+	case errors.Is(err, search.ErrInfeasible):
 		return nil, fmt.Errorf("figures: no feasible family for %s", sc.name)
+	default:
+		return nil, fmt.Errorf("figures: %s: %w", sc.name, err)
 	}
-	return out, nil
 }
 
 // Figure7 produces the best-utilization-vs-batch curves for one scenario

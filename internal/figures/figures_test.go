@@ -7,6 +7,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"bfpp/internal/cost"
+	"bfpp/internal/search"
 )
 
 // Cheap artifacts run in full; the search-backed ones are covered by the
@@ -135,5 +138,35 @@ func TestWriteAllSmoke(t *testing.T) {
 	}
 	if len(entries) != 4 {
 		t.Errorf("wrote %d files, want 4", len(entries))
+	}
+}
+
+// TestAppendixELargeHonorsConfig pins that the extended Appendix E artifact
+// prices with the configured cost model and worker budget: the contended
+// model changes its tables, and the worker count changes no byte.
+func TestAppendixELargeHonorsConfig(t *testing.T) {
+	ctx := context.Background()
+	fams := []search.Family{search.FamilyBreadthFirst}
+	paper, err := AppendixELarge(ctx, Config{Families: fams, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := AppendixELarge(ctx, Config{Families: fams, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wide != paper {
+		t.Errorf("artifact differs at 4 workers:\n%s\nvs 1 worker:\n%s", wide, paper)
+	}
+	cm, err := cost.Registry.Lookup("contended")
+	if err != nil {
+		t.Fatal(err)
+	}
+	contended, err := AppendixELarge(ctx, Config{Families: fams, Workers: 1, CostModel: cm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if contended == paper {
+		t.Error("the contended cost model left the artifact identical to the paper model's")
 	}
 }

@@ -1,169 +1,32 @@
 package hw
 
-import (
-	"fmt"
-	"strings"
-	"sync"
-	"sync/atomic"
-)
+import "bfpp/internal/registry"
 
-// The cluster registry opens the hardware axis the CLI used to hard-code,
-// mirroring core.RegisterMethod and model.Register: named constructors and
-// parameterized patterns are published copy-on-write at init time, and
-// every consumer (the commands' -cluster flags, the service requests'
-// "cluster" field) resolves them by name. Fixed names ("paper",
-// "ethernet") are tried first; patterns (a GPU count for LargeCluster)
-// parse whatever the fixed names did not match, in registration order.
-
-// clusterEntry is one fixed-name registration.
-type clusterEntry struct {
-	name    string
-	aliases []string
-	build   func() Cluster
-}
-
-// patternEntry is one parameterized registration: label documents the
-// accepted spelling ("<gpu-count>"), parse reports whether it accepts the
-// argument.
-type patternEntry struct {
-	label string
-	parse func(arg string) (Cluster, bool)
-}
-
-var (
-	clusterTable atomic.Pointer[[]clusterEntry]
-	patternTable atomic.Pointer[[]patternEntry]
-	clusterRegMu sync.Mutex // serializes registrations of both tables
-)
-
-// Register publishes a named cluster constructor. Name and aliases match
-// case-insensitively. It is meant to be called at init time and panics on
-// an empty or duplicate spelling or a nil constructor.
-func Register(name string, build func() Cluster, aliases ...string) {
-	if name == "" {
-		panic("hw: Register with an empty name")
-	}
-	if build == nil {
-		panic(fmt.Sprintf("hw: Register(%q) with a nil constructor", name))
-	}
-	clusterRegMu.Lock()
-	defer clusterRegMu.Unlock()
-	var cur []clusterEntry
-	if p := clusterTable.Load(); p != nil {
-		cur = *p
-	}
-	for _, spelling := range append([]string{name}, aliases...) {
-		if _, ok := lookupFixed(cur, spelling); ok {
-			panic(fmt.Sprintf("hw: cluster %q registered twice", spelling))
-		}
-	}
-	next := make([]clusterEntry, len(cur), len(cur)+1)
-	copy(next, cur)
-	next = append(next, clusterEntry{name: name, aliases: aliases, build: build})
-	clusterTable.Store(&next)
-}
-
-// RegisterPattern publishes a parameterized cluster spelling, e.g. a bare
-// GPU count resolving to LargeCluster(n). label is the placeholder shown
-// in listings and errors ("<gpu-count>"); parse returns false to pass the
-// argument on to the next pattern. Patterns are consulted after the fixed
-// names, in registration order. Panics on an empty label, a nil parser or
-// a duplicate label.
-func RegisterPattern(label string, parse func(arg string) (Cluster, bool)) {
-	if label == "" {
-		panic("hw: RegisterPattern with an empty label")
-	}
-	if parse == nil {
-		panic(fmt.Sprintf("hw: RegisterPattern(%q) with a nil parser", label))
-	}
-	clusterRegMu.Lock()
-	defer clusterRegMu.Unlock()
-	var cur []patternEntry
-	if p := patternTable.Load(); p != nil {
-		cur = *p
-	}
-	for _, e := range cur {
-		if e.label == label {
-			panic(fmt.Sprintf("hw: cluster pattern %q registered twice", label))
-		}
-	}
-	next := make([]patternEntry, len(cur), len(cur)+1)
-	copy(next, cur)
-	next = append(next, patternEntry{label: label, parse: parse})
-	patternTable.Store(&next)
-}
-
-// lookupFixed resolves a spelling against a fixed-name table snapshot.
-func lookupFixed(table []clusterEntry, name string) (Cluster, bool) {
-	want := strings.ToLower(name)
-	for _, e := range table {
-		if strings.ToLower(e.name) == want {
-			return e.build(), true
-		}
-		for _, a := range e.aliases {
-			if strings.ToLower(a) == want {
-				return e.build(), true
-			}
-		}
-	}
-	return Cluster{}, false
-}
-
-// Lookup resolves a registered cluster: fixed names (and aliases,
-// case-insensitive) first, then the registered patterns in order.
-func Lookup(name string) (Cluster, bool) {
-	if p := clusterTable.Load(); p != nil {
-		if c, ok := lookupFixed(*p, name); ok {
-			return c, true
-		}
-	}
-	if p := patternTable.Load(); p != nil {
-		for _, e := range *p {
-			if c, ok := e.parse(name); ok {
-				return c, true
-			}
-		}
-	}
-	return Cluster{}, false
-}
-
-// Names returns the registered spellings in registration order — the
-// canonical fixed names followed by the pattern labels — which is what an
-// "unknown cluster" error should list.
-func Names() []string {
-	var out []string
-	if p := clusterTable.Load(); p != nil {
-		for _, e := range *p {
-			out = append(out, e.name)
-		}
-	}
-	if p := patternTable.Load(); p != nil {
-		for _, e := range *p {
-			out = append(out, e.label)
-		}
-	}
-	return out
-}
+// Registry resolves the cluster spellings every consumer accepts (the
+// commands' -cluster flags, the service requests' "cluster" field): fixed
+// names ("paper", "ethernet") first, then patterns (a GPU count for
+// LargeCluster) in registration order.
+var Registry = registry.New[Cluster]("cluster")
 
 func init() {
 	// The paper's testbeds register like any extension would; the bare
 	// GPU-count spelling of the trade-off extrapolations is a pattern.
-	Register("paper", PaperCluster, "infiniband", "ib")
-	Register("ethernet", PaperClusterEthernet, "eth")
-	RegisterPattern("<gpu-count>", func(arg string) (Cluster, bool) {
+	Registry.Register("paper", PaperCluster, "infiniband", "ib")
+	Registry.Register("ethernet", PaperClusterEthernet, "eth")
+	Registry.RegisterPattern("<gpu-count>", func(arg string) (Cluster, bool, error) {
 		n := 0
 		for _, r := range arg {
 			if r < '0' || r > '9' {
-				return Cluster{}, false
+				return Cluster{}, false, nil
 			}
 			n = n*10 + int(r-'0')
 			if n > 1<<24 { // an absurd count is a typo, not a cluster
-				return Cluster{}, false
+				return Cluster{}, false, nil
 			}
 		}
 		if len(arg) == 0 || n <= 0 {
-			return Cluster{}, false
+			return Cluster{}, false, nil
 		}
-		return LargeCluster(n), true
+		return LargeCluster(n), true, nil
 	})
 }

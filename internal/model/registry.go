@@ -1,105 +1,17 @@
 package model
 
-import (
-	"fmt"
-	"strings"
-	"sync"
-	"sync/atomic"
-)
+import "bfpp/internal/registry"
 
-// The model registry opens the scenario axis the CLI used to hard-code:
-// any package can publish a named model constructor at init time and every
-// consumer (the commands' -model flags, the service requests' "model"
-// field) resolves it by name — no switch statements to extend. The design
-// mirrors core.RegisterMethod: the table is published copy-on-write behind
-// an atomic pointer, so lookups are lock-free while registrations (init
-// time only) serialize on a mutex.
-
-// regEntry is one registered model: a canonical display name, extra parse
-// aliases and the constructor.
-type regEntry struct {
-	name    string
-	aliases []string
-	build   func() Transformer
-}
-
-var (
-	regTable atomic.Pointer[[]regEntry]
-	regMu    sync.Mutex // serializes registrations
-)
-
-// Register publishes a named model constructor. The canonical name and the
-// aliases are matched case-insensitively by Lookup. Register is meant to
-// be called at init time and panics on an empty or duplicate name, a nil
-// constructor, or an alias colliding with an already-registered spelling —
-// a registration bug should fail loudly at startup, not shadow a model.
-func Register(name string, build func() Transformer, aliases ...string) {
-	if name == "" {
-		panic("model: Register with an empty name")
-	}
-	if build == nil {
-		panic(fmt.Sprintf("model: Register(%q) with a nil constructor", name))
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	var cur []regEntry
-	if p := regTable.Load(); p != nil {
-		cur = *p
-	}
-	for _, spelling := range append([]string{name}, aliases...) {
-		if _, ok := lookupIn(cur, spelling); ok {
-			panic(fmt.Sprintf("model: %q registered twice", spelling))
-		}
-	}
-	next := make([]regEntry, len(cur), len(cur)+1)
-	copy(next, cur)
-	next = append(next, regEntry{name: name, aliases: aliases, build: build})
-	regTable.Store(&next)
-}
-
-// lookupIn resolves a spelling against a table snapshot.
-func lookupIn(table []regEntry, name string) (Transformer, bool) {
-	want := strings.ToLower(name)
-	for _, e := range table {
-		if strings.ToLower(e.name) == want {
-			return e.build(), true
-		}
-		for _, a := range e.aliases {
-			if strings.ToLower(a) == want {
-				return e.build(), true
-			}
-		}
-	}
-	return Transformer{}, false
-}
-
-// Lookup resolves a registered model from its canonical name or one of its
-// aliases (case-insensitive) and constructs it.
-func Lookup(name string) (Transformer, bool) {
-	var table []regEntry
-	if p := regTable.Load(); p != nil {
-		table = *p
-	}
-	return lookupIn(table, name)
-}
-
-// Names returns the canonical registered names in registration order —
-// what an "unknown model" error should list.
-func Names() []string {
-	var out []string
-	if p := regTable.Load(); p != nil {
-		for _, e := range *p {
-			out = append(out, e.name)
-		}
-	}
-	return out
-}
+// Registry resolves the model names every consumer accepts (the commands'
+// -model flags, the service requests' "model" field): any package can
+// publish a named constructor at init time with Registry.Register.
+var Registry = registry.New[Transformer]("model")
 
 func init() {
 	// The paper's models register like any extension would.
-	Register("52B", Model52B)
-	Register("6.6B", Model6p6B, "6p6b")
-	Register("GPT-3", GPT3, "gpt3")
-	Register("1T", Model1T)
-	Register("tiny", Tiny)
+	Registry.Register("52B", Model52B)
+	Registry.Register("6.6B", Model6p6B, "6p6b")
+	Registry.Register("GPT-3", GPT3, "gpt3")
+	Registry.Register("1T", Model1T)
+	Registry.Register("tiny", Tiny)
 }

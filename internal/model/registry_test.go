@@ -1,25 +1,23 @@
 package model
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
 
 // TestRegistryCoversAllModels asserts every built-in constructor is
-// reachable through the registry and that the registered entries build
-// valid, correctly-named models.
+// reachable through the registry under its canonical name and that the
+// registered entries build valid models equal to the constructors'.
 func TestRegistryCoversAllModels(t *testing.T) {
 	builtins := map[string]func() Transformer{
 		"52B": Model52B, "6.6B": Model6p6B, "GPT-3": GPT3, "1T": Model1T, "tiny": Tiny,
 	}
-	names := Names()
-	if len(names) < len(builtins) {
-		t.Fatalf("registry lists %d models, want >= %d (%v)", len(names), len(builtins), names)
-	}
+	names := Registry.Names()
 	for name, build := range builtins {
-		got, ok := Lookup(name)
-		if !ok {
-			t.Errorf("built-in model %q is not registered", name)
+		got, err := Registry.Lookup(name)
+		if err != nil {
+			t.Errorf("built-in model %q: %v", name, err)
 			continue
 		}
 		if want := build(); got != want {
@@ -28,63 +26,57 @@ func TestRegistryCoversAllModels(t *testing.T) {
 		if err := got.Validate(); err != nil {
 			t.Errorf("%q: registered model invalid: %v", name, err)
 		}
-		found := false
-		for _, n := range names {
-			if n == name {
-				found = true
-			}
-		}
-		if !found {
+		if !slices.Contains(names, name) {
 			t.Errorf("Names() = %v is missing %q", names, name)
 		}
 	}
 }
 
-// TestLookupAliasRoundTrip asserts aliases and case variants resolve to
-// the same model as the canonical name.
+// TestLookupAliasRoundTrip asserts the built-in aliases and case variants
+// build the same model as the constructor.
 func TestLookupAliasRoundTrip(t *testing.T) {
-	cases := map[string]string{
-		"6p6b": "6.6B", "6.6b": "6.6B", "gpt3": "GPT-3", "gpt-3": "GPT-3",
-		"52b": "52B", "1t": "1T", "TINY": "tiny",
+	cases := map[string]func() Transformer{
+		"6p6b": Model6p6B, "6P6B": Model6p6B, "6.6b": Model6p6B, "gpt3": GPT3,
+		"GPT3": GPT3, "gpt-3": GPT3, "52b": Model52B, "1t": Model1T, "TINY": Tiny,
 	}
-	for alias, canonical := range cases {
-		got, ok := Lookup(alias)
-		if !ok {
-			t.Errorf("alias %q did not resolve", alias)
+	for alias, build := range cases {
+		got, err := Registry.Lookup(alias)
+		if err != nil {
+			t.Errorf("alias %q: %v", alias, err)
 			continue
 		}
-		want, ok := Lookup(canonical)
-		if !ok {
-			t.Fatalf("canonical %q did not resolve", canonical)
-		}
-		if got != want {
-			t.Errorf("alias %q built %v, canonical %q built %v", alias, got, canonical, want)
+		if want := build(); got != want {
+			t.Errorf("alias %q built %v, constructor builds %v", alias, got, want)
 		}
 	}
-	if _, ok := Lookup("banana"); ok {
+	if _, err := Registry.Lookup("banana"); err == nil {
 		t.Error("unregistered name resolved")
 	}
 }
 
-// TestDuplicateRegisterPanics asserts a colliding registration fails
-// loudly — on the canonical name and on an alias alike.
+// TestDuplicateRegisterPanics asserts the model table refuses a
+// registration that collides with a built-in spelling — on the canonical
+// name and on an alias alike — or that is empty or nil.
 func TestDuplicateRegisterPanics(t *testing.T) {
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
 			if r := recover(); r == nil {
 				t.Errorf("%s: expected panic", name)
-			} else if !strings.Contains(strings.ToLower(r.(string)), "regist") {
+			} else if msg, _ := r.(string); !strings.Contains(msg, "registered") {
 				t.Errorf("%s: unexpected panic message %v", name, r)
 			}
 		}()
 		fn()
 	}
-	mustPanic("duplicate name", func() { Register("52B", Tiny) })
-	mustPanic("duplicate via case", func() { Register("52b", Tiny) })
-	mustPanic("duplicate alias", func() { Register("fresh-model-x", Tiny, "6p6b") })
-	mustPanic("empty name", func() { Register("", Tiny) })
-	mustPanic("nil constructor", func() { Register("fresh-model-y", nil) })
+	mustPanic("duplicate name", func() { Registry.Register("52B", Tiny) })
+	mustPanic("duplicate via case", func() { Registry.Register("52b", Tiny) })
+	mustPanic("duplicate alias", func() { Registry.Register("fresh-model-x", Tiny, "6p6b") })
+	mustPanic("empty name", func() { Registry.Register("", Tiny) })
+	mustPanic("nil constructor", func() { Registry.Register("fresh-model-y", nil) })
+	if _, err := Registry.Lookup("fresh-model-x"); err == nil {
+		t.Error("a panicking registration published its name")
+	}
 }
 
 // TestRegisterExtension registers a throwaway model and asserts it
@@ -96,14 +88,14 @@ func TestRegisterExtension(t *testing.T) {
 		m.Name = "test-ext"
 		return m
 	}
-	if _, ok := Lookup("test-ext"); !ok { // idempotent under -count>1
-		Register("test-ext", build, "text")
+	if _, err := Registry.Lookup("test-ext"); err != nil { // idempotent under -count>1
+		Registry.Register("test-ext", build, "text")
 	}
-	got, ok := Lookup("TEXT")
-	if !ok || got.Name != "test-ext" {
-		t.Fatalf("extension alias lookup: %v, %v", got, ok)
+	got, err := Registry.Lookup("TEXT")
+	if err != nil || got.Name != "test-ext" {
+		t.Fatalf("extension alias lookup: %v, %v", got, err)
 	}
-	names := Names()
+	names := Registry.Names()
 	if names[len(names)-1] != "test-ext" {
 		t.Errorf("Names() tail = %q, want the freshly registered model", names[len(names)-1])
 	}

@@ -14,7 +14,7 @@ import (
 // paramsFor returns engine params carrying the named registered cost model.
 func paramsFor(t *testing.T, name string) *engine.Params {
 	t.Helper()
-	cm, err := cost.Lookup(name)
+	cm, err := cost.Registry.Lookup(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestCostModelChangesSearchOutcome(t *testing.T) {
 
 func mustLookup(t *testing.T, name string) cost.Model {
 	t.Helper()
-	cm, err := cost.Lookup(name)
+	cm, err := cost.Registry.Lookup(name)
 	if err != nil {
 		t.Fatal(err)
 	}

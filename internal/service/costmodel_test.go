@@ -178,8 +178,8 @@ func (nanFwdModel) Derive(c hw.Cluster, m model.Transformer, p core.Plan, par co
 // fail differently: one derives a NaN duration, the other a profile that
 // passes Profile.Validate but overflows the batch time to +Inf.
 func TestSearchCandidateErrorFailsRequest(t *testing.T) {
-	if _, err := cost.Lookup("test-nan-fwd"); err != nil { // idempotent under -count>1
-		cost.Register("test-nan-fwd", func() cost.Model { return nanFwdModel{} })
+	if _, err := cost.Registry.Lookup("test-nan-fwd"); err != nil { // idempotent under -count>1
+		cost.Registry.Register("test-nan-fwd", func() cost.Model { return nanFwdModel{} })
 	}
 	ctx := context.Background()
 	for _, cm := range []string{"test-nan-fwd", "calibrated:" + overflowProfilePath(t)} {
@@ -197,6 +197,28 @@ func TestSearchCandidateErrorFailsRequest(t *testing.T) {
 		}
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestHTTPFiguresInvalidCostsIs400 extends TestHTTPSearchInvalidCostsIs400
+// to /v1/figures: a sweep-backed artifact whose request names the
+// overflowing profile answers 400 with the engine's message, neither a 500
+// that reads "no feasible family" nor a 200 priced with the paper model.
+func TestHTTPFiguresInvalidCostsIs400(t *testing.T) {
+	srv := httptest.NewServer(Handler(New(Config{})))
+	defer srv.Close()
+	cm := "calibrated:" + overflowProfilePath(t)
+	for _, name := range []string{"figure7a", "figure1", "appendixE-large"} {
+		var body struct {
+			Error string `json:"error"`
+		}
+		req := FigureRequest{Names: []string{name}, CostModel: cm}
+		if code := postJSON(t, srv.URL+"/v1/figures", req, &body); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", name, code, body.Error)
+		}
+		if !strings.Contains(body.Error, "engine: batch time overflows") {
+			t.Errorf("%s: error %q does not carry the engine's message", name, body.Error)
 		}
 	}
 }

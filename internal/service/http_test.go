@@ -184,13 +184,13 @@ func TestHTTPHealthz(t *testing.T) {
 // model and a cluster registered at runtime round-trip through the HTTP
 // surface with no code changes outside the registration calls.
 func TestHTTPRegistryAddedScenario(t *testing.T) {
-	if _, ok := model.Lookup("http-ext-model"); !ok { // idempotent under -count>1
-		model.Register("http-ext-model", func() model.Transformer {
+	if _, err := model.Registry.Lookup("http-ext-model"); err != nil { // idempotent under -count>1
+		model.Registry.Register("http-ext-model", func() model.Transformer {
 			m := model.Tiny()
 			m.Name = "http-ext-model"
 			return m
 		})
-		hw.Register("http-ext-cluster", func() hw.Cluster {
+		hw.Registry.Register("http-ext-cluster", func() hw.Cluster {
 			c := hw.PaperCluster()
 			c.Name = "http-ext-cluster"
 			c.Nodes = 2

@@ -186,7 +186,7 @@ func (s *Service) Health() Health {
 		MaxJobs:    s.cfg.MaxJobs,
 		Queued:     int(s.queued.Load()),
 		ShedTotal:  s.shed.Load(),
-		CostModels: cost.Names(),
+		CostModels: cost.Registry.Names(),
 	}
 	if h.InFlight >= h.MaxJobs || h.Queued > 0 {
 		h.Status = "degraded"
@@ -686,6 +686,10 @@ func (s *Service) figuresWith(ctx context.Context, req FigureRequest, progress f
 		if err != nil {
 			if ctxErr := ctx.Err(); ctxErr != nil {
 				return FigureResponse{}, ctxErr
+			}
+			if errors.Is(err, engine.ErrInvalidCosts) {
+				// The request's cost model, as in localSearch.
+				return FigureResponse{}, badRequestf("%s: %v", g.Name, err)
 			}
 			return FigureResponse{}, fmt.Errorf("service: %s: %w", g.Name, err)
 		}

@@ -31,10 +31,10 @@ func badRequestf(format string, args ...any) error {
 // options. The five CLIs and the bfpp-serve endpoints share this struct,
 // so a job is provably the same whichever surface submits it.
 type SearchRequest struct {
-	// Model names a registered model (model.Register): "52B", "6.6B",
+	// Model names a registered model (model.Registry): "52B", "6.6B",
 	// "GPT-3", "1T", "tiny", or any extension.
 	Model string `json:"model"`
-	// Cluster names a registered cluster (hw.Register) or matches a
+	// Cluster names a registered cluster (hw.Registry) or matches a
 	// registered pattern: "paper", "ethernet", or a GPU count like "512".
 	Cluster string `json:"cluster"`
 	// Families selects method families by registry key ("bf", "ws", ...);
@@ -53,7 +53,7 @@ type SearchRequest struct {
 	// NoPrune disables the branch-and-bound (results are identical either
 	// way; this is the perf-comparison switch).
 	NoPrune bool `json:"no_prune,omitempty"`
-	// CostModel names a registered cost model (cost.Register) or matches a
+	// CostModel names a registered cost model (cost.Registry) or matches a
 	// registered pattern: "paper", "calibrated", "contended",
 	// "calibrated:<profile.json>". Empty selects the default paper model.
 	// The resolved model's fingerprint is part of the canonical cache key,

@@ -11,9 +11,10 @@
 #                   and prune_rate_by_family breaks it down per method
 #                   family (how far each family's registered bound
 #                   carries)
-#   parallel_scaling one (family, batch) search, serial (1 worker) vs
-#                   GOMAXPROCS workers (one group runs on one worker, so
-#                   this reads about 1.0; see ROADMAP item 5)
+#   parallel_scaling the pruned Figure-7 grid on 1 worker vs GOMAXPROCS
+#                   workers (SweepFigure7PrunedSerial / SweepFigure7Pruned):
+#                   each family's seven (family, batch) groups spread over
+#                   the pool, so on one core this reads about 1.0
 #   service_overhead what the request/response layer (canonicalization,
 #                   job slot, response assembly) adds on top of the direct
 #                   pruned sweep: ServiceSearchCold / SweepFigure7Pruned,
@@ -73,7 +74,7 @@ TMP=$(mktemp)
 trap 'rm -f "$TMP"' EXIT
 
 go test -run '^$' \
-	-bench 'BenchmarkSearchOptimize(Serial|Parallel)$|BenchmarkSweepFigure7(Parallel|Pruned|PrunedFault|PrunedCostModel)$|BenchmarkSimulateBatch(Fault)?$|BenchmarkServiceSearch(Cold|Cached|Store)$' \
+	-bench 'BenchmarkSweepFigure7(Parallel|Pruned|PrunedSerial|PrunedFault|PrunedCostModel)$|BenchmarkSimulateBatch(Fault)?$|BenchmarkServiceSearch(Cold|Cached|Store)$' \
 	-benchmem -benchtime="$BENCHTIME" -count="$BENCHCOUNT" . | tee "$TMP"
 
 GOMAXPROCS_N=$(go run ./scripts/gomaxprocs 2>/dev/null || nproc 2>/dev/null || echo 1)
@@ -122,7 +123,7 @@ END {
 	printf "  },\n" > out
 	printf "  \"speedups\": {\n" > out
 	printf "    \"sweep_pruned\": %.2f,\n", ns["SweepFigure7Parallel"] / ns["SweepFigure7Pruned"] > out
-	printf "    \"parallel_scaling\": %.2f,\n", ns["SearchOptimizeSerial"] / ns["SearchOptimizeParallel"] > out
+	printf "    \"parallel_scaling\": %.2f,\n", ns["SweepFigure7PrunedSerial"] / ns["SweepFigure7Pruned"] > out
 	printf "    \"service_overhead\": %.3f,\n", clamp1(ns["ServiceSearchCold"] / ns["SweepFigure7Pruned"]) > out
 	printf "    \"service_overhead_raw\": %.3f,\n", ns["ServiceSearchCold"] / ns["SweepFigure7Pruned"] > out
 	printf "    \"store_overhead\": %.3f,\n", clamp1(ns["ServiceSearchStore"] / ns["ServiceSearchCold"]) > out
