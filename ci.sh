@@ -3,6 +3,7 @@
 # module's vet and tests + an HTTP smoke test of bfpp-serve, clean and
 # with a chaos script armed (a retrying client must absorb the injected
 # transient fault and still byte-match)
+# + a bounded fuzz of the validated-plan generation property
 # + a worker-count invariance check of bfpp-search (table and pruning
 # counters) + a bfpp-calibrate smoke (deterministic fit, byte-stable
 # fitted search)
@@ -44,6 +45,10 @@ fi
 
 echo "== go test (-shuffle=on: no hidden inter-test ordering dependencies)"
 go test -shuffle=on ./...
+
+echo "== fuzz (bounded; every plan Plan.Validate accepts must generate and check,"
+echo "   which is what lets engine.Precheck skip generation)"
+go test -run '^$' -fuzz '^FuzzValidatedPlanGenerates$' -fuzztime 10s ./internal/schedule
 
 echo "== bfppbench (the repo benchmark is its own module; build, vet and test it"
 echo "   against this tree, so a refactor cannot leave it unbuildable)"

@@ -32,8 +32,8 @@ import (
 // to engine.SimulateOpts' BatchTime, which holds for every plan whose
 // generator registers the replay hook (all the paper methods plus
 // WS-1F1B, overlapped or not; the V-schedule reports a floor). It is
-// total over plans with positive sizes: one with no checked schedule,
-// which engine.Precheck rejects (NumMicro < PP, say), gets its finite,
+// total over plans with positive sizes: one Plan.Validate rejects
+// (NumMicro < PP, say), which has no checked schedule, gets its finite,
 // positive floor, reported not exact.
 func LowerBound(c hw.Cluster, m model.Transformer, p core.Plan, par *engine.Params) (lb float64, exact bool) {
 	return LowerBoundCached(c, m, p, par, nil)

@@ -93,34 +93,43 @@ func Simulate(c hw.Cluster, m model.Transformer, p core.Plan) (Result, error) {
 	return SimulateOpts(c, m, p, Options{})
 }
 
-// prepare runs every validation that precedes the simulation — cluster and
-// plan validity, the GPU budget, schedule generation and invariant
-// checking, and the derived costs — and returns the checked schedule and
-// the costs. It is the single producer of SimulateOpts' pre-simulation
-// errors, so Precheck reports exactly what a simulation would.
-func prepare(c hw.Cluster, m model.Transformer, p core.Plan, opt Options) (*schedule.Schedule, schedule.StepCosts, error) {
+// check runs every validation that precedes the simulation — cluster and
+// plan validity, the GPU budget, a registered generator for the method,
+// and the derived costs — and returns the costs. It generates no device
+// programs (bar checkCosts' op count for a cost near overflow). It is the
+// single producer of SimulateOpts' errors before generation, so Precheck
+// reports exactly what a simulation would, as long as the method's
+// registered generator produces checked programs for every plan
+// Plan.Validate accepts: only a generator bug could fail the simulation's
+// generation after check passes. FuzzValidatedPlanGenerates in
+// internal/schedule and TestEnumeratedPlansGenerate in internal/search
+// check that rule.
+func check(c hw.Cluster, m model.Transformer, p core.Plan, opt Options) (schedule.StepCosts, error) {
 	if err := c.Validate(); err != nil {
-		return nil, schedule.StepCosts{}, err
+		return schedule.StepCosts{}, err
 	}
 	if err := p.Validate(m); err != nil {
-		return nil, schedule.StepCosts{}, err
+		return schedule.StepCosts{}, err
 	}
 	if p.GPUs() > c.NumGPUs() {
-		return nil, schedule.StepCosts{}, fmt.Errorf("engine: plan needs %d GPUs, cluster has %d", p.GPUs(), c.NumGPUs())
+		return schedule.StepCosts{}, fmt.Errorf("engine: plan needs %d GPUs, cluster has %d", p.GPUs(), c.NumGPUs())
 	}
-	sched, err := schedule.Cached(p)
-	if err != nil {
-		return nil, schedule.StepCosts{}, fmt.Errorf("engine: %w", err)
+	if _, ok := schedule.Lookup(p.Method); !ok {
+		// A method registered in core alone: Generate reports the missing
+		// generator before it could generate anything, the error a
+		// simulation would get from the memo cache.
+		_, err := schedule.Generate(p)
+		return schedule.StepCosts{}, fmt.Errorf("engine: %w", err)
 	}
 	par := Defaults()
 	if opt.Params != nil {
 		par = *opt.Params
 	}
 	costs := DeriveCosts(c, m, p, par)
-	if err := checkCosts(sched, costs); err != nil {
-		return nil, schedule.StepCosts{}, err
+	if err := checkCosts(p, costs); err != nil {
+		return schedule.StepCosts{}, err
 	}
-	return sched, costs, nil
+	return costs, nil
 }
 
 // ErrInvalidCosts matches (under errors.Is) the errors Precheck and
@@ -146,10 +155,13 @@ func (costError) Unwrap() error { return ErrInvalidCosts }
 // can still overflow the batch time, so it bounds that too: every op
 // starts at 0 or at another op's end, so the makespan is at most the sum
 // of the charged durations — at most the largest one times the op count
-// of the checked programs, each op counted with its transfer.
-func checkCosts(s *schedule.Schedule, c schedule.StepCosts) error {
+// of the checked programs, each op counted with its transfer. Only a
+// largest duration within a factor 2^63 of the float64 range needs that
+// count: below it, largest*2*ops stays finite for any int op count, so
+// the programs are read (and generated, on a memo-cache miss) only then.
+func checkCosts(p core.Plan, c schedule.StepCosts) error {
 	transfer := c.Transfer
-	if pp, _ := schedule.SideStreams(s.Plan); !pp {
+	if pp, _ := schedule.SideStreams(p); !pp {
 		transfer += c.PPStall
 	}
 	for _, d := range [...]struct {
@@ -161,34 +173,48 @@ func checkCosts(s *schedule.Schedule, c schedule.StepCosts) error {
 			return costError(fmt.Sprintf("engine: invalid %s duration %v", d.name, d.v))
 		}
 	}
+	largest := max(c.Fwd, c.Bwd, transfer, c.Reduce, c.Restore, c.Opt)
+	if !math.IsInf(largest*0x1p63, 0) {
+		return nil
+	}
+	s, err := schedule.Cached(p)
+	if err != nil {
+		return fmt.Errorf("engine: %w", err)
+	}
 	ops := 0
 	for _, prog := range s.Devices {
 		ops += len(prog)
 	}
-	largest := max(c.Fwd, c.Bwd, transfer, c.Reduce, c.Restore, c.Opt)
 	if math.IsInf(largest*float64(2*ops), 0) {
 		return costError(fmt.Sprintf("engine: batch time overflows: %d ops of up to %v s each", ops, largest))
 	}
 	return nil
 }
 
-// Precheck returns the error SimulateOpts would return before reaching the
-// simulation — nil when the configuration simulates cleanly (a registered
-// generator's checked schedule cannot stall the replay). The grid search
-// uses it to surface per-candidate errors deterministically even for
-// candidates the branch-and-bound never simulates; schedule generation is
-// memoized, so a subsequent simulation pays nothing extra. It takes the
-// simulation's Options, whose Params the cost checks read.
+// Precheck returns the error SimulateOpts would return before generating
+// the device programs — nil when the configuration simulates cleanly,
+// given the rule check's doc states (every validated plan generates
+// checked programs, and a checked schedule cannot stall the replay). The
+// grid search uses it to surface per-candidate errors deterministically
+// even for candidates the branch-and-bound never simulates. It generates
+// no device programs unless a derived duration comes within a factor
+// 2^63 of the float64 range (checkCosts then needs the op count), so a
+// candidate the search prunes on its floor costs no generation. It takes
+// the simulation's Options, whose Params the cost checks read.
 func Precheck(c hw.Cluster, m model.Transformer, p core.Plan, opt Options) error {
-	_, _, err := prepare(c, m, p, opt)
+	_, err := check(c, m, p, opt)
 	return err
 }
 
 // SimulateOpts runs one batch of the configuration and returns the result.
 func SimulateOpts(c hw.Cluster, m model.Transformer, p core.Plan, opt Options) (Result, error) {
-	sched, costs, err := prepare(c, m, p, opt)
+	costs, err := check(c, m, p, opt)
 	if err != nil {
 		return Result{}, err
+	}
+	sched, err := schedule.Cached(p)
+	if err != nil {
+		return Result{}, fmt.Errorf("engine: %w", err)
 	}
 	tl, err := sched.Replay(costs)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"bfpp/internal/core"
 	"bfpp/internal/cost"
 	"bfpp/internal/hw"
+	"bfpp/internal/memsim"
 	"bfpp/internal/model"
 	"bfpp/internal/schedule"
 )
@@ -189,5 +190,66 @@ func TestOverflowingCostsError(t *testing.T) {
 	}
 	if perr := Precheck(c, m, p, opt); perr == nil || perr.Error() != err.Error() {
 		t.Errorf("Precheck error %v, SimulateOpts error %v", perr, err)
+	}
+}
+
+// Precheck generates no device programs: for one valid plan of every
+// registered generator it leaves both schedule memo-cache counters as they
+// were, and the simulation that follows reads the programs from the cache
+// exactly once.
+func TestPrecheckGeneratesNothing(t *testing.T) {
+	c := hw.PaperCluster()
+	m := model.Model52B()
+	rng := rand.New(rand.NewSource(21))
+	for _, g := range schedule.Generators() {
+		p := randomPlan(rng, m, g.Method())
+		// The V-schedule's memory estimate reads its programs; memoize it
+		// first, so the simulation reads them only for its replay.
+		memsim.CachedEstimate(m, p)
+		hits0, misses0 := schedule.CacheStats()
+		if err := Precheck(c, m, p, Options{}); err != nil {
+			t.Fatalf("%v: Precheck: %v", p, err)
+		}
+		if hits, misses := schedule.CacheStats(); hits != hits0 || misses != misses0 {
+			t.Errorf("%v: Precheck reached the schedule cache: hits %d -> %d, misses %d -> %d",
+				p, hits0, hits, misses0, misses)
+		}
+		if _, err := SimulateOpts(c, m, p, Options{}); err != nil {
+			t.Fatalf("%v: SimulateOpts: %v", p, err)
+		}
+		if hits, misses := schedule.CacheStats(); hits-hits0+misses-misses0 != 1 {
+			t.Errorf("%v: Precheck and SimulateOpts made %d schedule cache lookups, want 1",
+				p, hits-hits0+misses-misses0)
+		}
+	}
+}
+
+// A method registered in core with no schedule generator fails Precheck
+// and SimulateOpts with the schedule memo cache's own error, and neither
+// reaches the cache to find out.
+func TestPrecheckNoGenerator(t *testing.T) {
+	const orphan = core.Method(90)
+	if _, ok := orphan.Info(); !ok {
+		core.RegisterMethod(orphan, core.MethodInfo{Name: "orphan"})
+	}
+	c := hw.PaperCluster()
+	m := model.Model52B()
+	p := core.Plan{Method: orphan, DP: 1, PP: 1, TP: 1, MicroBatch: 1, NumMicro: 4, Loops: 1}
+	hits0, misses0 := schedule.CacheStats()
+	perr := Precheck(c, m, p, Options{})
+	_, serr := SimulateOpts(c, m, p, Options{})
+	if hits, misses := schedule.CacheStats(); hits != hits0 || misses != misses0 {
+		t.Errorf("the checks reached the schedule cache: hits %d -> %d, misses %d -> %d", hits0, hits, misses0, misses)
+	}
+	_, cerr := schedule.Cached(p)
+	if cerr == nil {
+		t.Fatal("schedule.Cached accepted a method with no generator")
+	}
+	want := "engine: " + cerr.Error()
+	if perr == nil || perr.Error() != want {
+		t.Errorf("Precheck error %v, want %q", perr, want)
+	}
+	if serr == nil || serr.Error() != want {
+		t.Errorf("SimulateOpts error %v, want %q", serr, want)
 	}
 }

@@ -14,10 +14,10 @@ type key struct{ stage, micro int }
 func (k key) String() string { return fmt.Sprintf("{%d %d}", k.stage, k.micro) }
 
 // checkScratch pools Check's per-(stage, micro) position tables. Check
-// runs once per distinct schedule memo key, and since the search's
-// branch-and-bound prechecks every enumerated candidate the flat tables
-// (replacing the original per-device maps) keep it off the sweep's
-// critical path.
+// runs once per distinct schedule memo key the search prices or
+// simulates (and per key the V-schedule's exact in-flight hook reads),
+// and the flat tables (replacing the original per-device maps) keep it
+// off the sweep's critical path.
 type checkScratch struct {
 	fwdSeen, bwdSeen       []uint8
 	fwdPos, bwdPos         []int32

@@ -190,8 +190,8 @@ func TestPrunedErrorsMatchUnpruned(t *testing.T) {
 		t.Fatalf("want >= 4 depth-first candidates, got %d", len(plans))
 	}
 	// Two failing candidates at different indexes: NumMicro not divisible
-	// by PP fails depth-first generation inside the engine. The lower index
-	// must win in both paths.
+	// by PP fails Plan.Validate through depth-first's CheckPlan hook, in
+	// the engine's precheck. The lower index must win in both paths.
 	bad1, bad2 := plans[1], plans[3]
 	bad1.NumMicro++
 	bad2.NumMicro++
@@ -211,6 +211,56 @@ func TestPrunedErrorsMatchUnpruned(t *testing.T) {
 		if errs[0].Error() != refErrs[0].Error() {
 			t.Errorf("workers=%d: pruned error %q != unpruned %q", workers, errs[0], refErrs[0])
 		}
+	}
+}
+
+// TestEnumeratedPlansGenerate generates and checks every distinct schedule
+// key the shipped grids enumerate: the Figure-7 and Table E sweeps (paper
+// families) and the appendixE-large sweeps (every family). The precheck
+// generates no programs, so a pruned candidate whose generation failed
+// would hide the error the unpruned search reports; that cannot happen
+// while every plan Plan.Validate accepts generates cleanly. The fuzz
+// target FuzzValidatedPlanGenerates in internal/schedule checks that rule
+// at random shapes; this test pins it at every shape these grids reach,
+// the V-schedule's large pipelines included.
+func TestEnumeratedPlansGenerate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("search sweep")
+	}
+	seen := map[schedule.Key]bool{} // the programs depend on the key alone
+	for _, g := range []struct {
+		c       hw.Cluster
+		m       model.Transformer
+		fams    []Family
+		batches []int
+	}{
+		{hw.PaperCluster(), model.Model52B(), Families(), []int{8, 16, 32, 64, 128, 256, 512}},
+		{hw.PaperCluster(), model.Model6p6B(), Families(), []int{32, 64, 96, 128, 192, 256, 384, 512}},
+		{hw.PaperClusterEthernet(), model.Model6p6B(), Families(), []int{64, 96, 128, 192, 256, 384, 512}},
+		{hw.LargeCluster(512), model.GPT3(), AllFamilies(), []int{64, 128, 256}},
+		{hw.LargeCluster(2048), model.Model1T(), AllFamilies(), []int{256, 512}},
+	} {
+		for _, f := range g.fams {
+			for _, batch := range g.batches {
+				for _, p := range Enumerate(context.Background(), g.c, g.m, f, batch, Options{}) {
+					k := schedule.KeyOf(p)
+					if seen[k] {
+						continue
+					}
+					seen[k] = true
+					s, err := schedule.Generate(p)
+					if err == nil {
+						err = schedule.Check(s)
+					}
+					if err != nil {
+						t.Errorf("%s on %d GPUs, batch %d: %v: %v", g.m.Name, g.c.NumGPUs(), batch, p, err)
+					}
+				}
+			}
+		}
+	}
+	if len(seen) == 0 {
+		t.Error("the grids enumerated no candidate")
 	}
 }
 

@@ -30,10 +30,12 @@
 // with the cheap analytic floor (analytic.Floor — O(1) arithmetic, no
 // schedule replay), and candidates are taken cheapest-floor-first. A
 // candidate reaches tier 2 — the O(ops) exact multi-stream schedule replay
-// (analytic.LowerBound, which replays the candidate's prechecked device
+// (analytic.LowerBound, which replays the candidate's checked device
 // programs with the simulator's own replay, so its price is the simulated
 // batch time bit for bit for every generator registering the replay hook)
 // — only when its floor fails to prune against the group's incumbent.
+// Device programs are generated on first use, by tier 2 or the
+// simulation; the precheck generates none.
 // Exact tier-2 prices feed the incumbent immediately, so siblings prune
 // before any simulation runs, and the exactly-priced candidate's
 // simulation is deferred. Once the group's last candidate is resolved the
@@ -49,12 +51,16 @@
 // and the formatted Table output, including the Configs column, which
 // counts enumerated candidates — is byte-identical to the unpruned path
 // at any worker count. Errors are preserved too: every candidate is
-// prechecked (engine.Precheck, the exact pre-simulation validations)
-// before pruning may skip it, so Optimize, Sweep and SweepAll surface
-// the same per-group error (the group's lowest-index candidate error)
-// with and without pruning. Options.NoPrune disables the bounds and
-// simulates every candidate: the reference the equivalence tests and the
-// perf harness compare against.
+// prechecked (engine.Precheck, the simulation's pre-generation
+// validations, which need no programs) before pruning may skip it, so
+// Optimize, Sweep and SweepAll surface the same per-group error (the
+// group's lowest-index candidate error) with and without pruning. That
+// holds as long as every plan Plan.Validate accepts generates cleanly:
+// the precheck cannot see a generator failure, so a pruned candidate
+// would hide one the unpruned path reports. FuzzValidatedPlanGenerates
+// (internal/schedule) and TestEnumeratedPlansGenerate check that rule.
+// Options.NoPrune disables the bounds and simulates every candidate: the
+// reference the equivalence tests and the perf harness compare against.
 package search
 
 import (
@@ -605,13 +611,15 @@ func (p *pricer) countSkip(fs *FamilyStats, j *job) {
 //
 // With pruning active it first prechecks every candidate (so a candidate
 // whose simulation would error reports it even when the bounds would
-// skip it) and prices it with the tier-1 floor. It then takes the
-// candidates cheapest-floor-first, stable on enumeration order: each one
-// the incumbent covers is skipped, and the tier-2 exact replay is paid
-// only for candidates the floor fails to settle. An exactly-priced
-// candidate's simulation is deferred, and the settle at the end simulates
-// the one the incumbent names. The winner — and the lowest-index error —
-// is provably the one the unpruned path reports.
+// skip it; the precheck generates no programs) and prices it with the
+// tier-1 floor. It then takes the candidates cheapest-floor-first, stable
+// on enumeration order: each one the incumbent covers is skipped, and the
+// tier-2 exact replay is paid only for candidates the floor fails to
+// settle. An exactly-priced candidate's simulation is deferred, and the
+// settle at the end simulates the one the incumbent names. The winner is
+// provably the one the unpruned path reports, and so is the lowest-index
+// error while every validated plan generates cleanly (see the package
+// doc).
 func (p *pricer) price(plans []core.Plan, fs *FamilyStats) ([]simOut, bool) {
 	jobs := make([]job, len(plans))
 	outs := make([]simOut, len(plans))
@@ -653,8 +661,9 @@ func (p *pricer) price(plans []core.Plan, fs *FamilyStats) ([]simOut, bool) {
 		p.countSim(fs) // reached the simulator, error or not
 		if err != nil {
 			// Enumeration bugs should surface loudly; feasibility issues
-			// are filtered beforehand, and the precheck already guarantees
-			// pruning cannot mask this error.
+			// are filtered beforehand. The precheck has already reported
+			// every error but a generator failure, which the rule that
+			// validated plans generate cleanly rules out (package doc).
 			outs[i].err = fmt.Errorf("search: %v: %w", jobs[i].plan, err)
 			return
 		}

@@ -41,6 +41,12 @@
 #                   fraction of bound-skips won by the tier-1 floor alone,
 #                   and the fraction of candidates that paid the O(ops)
 #                   tier-2 exact replay.
+#   cold_sweep_figure7 the pruned Figure-7 sweep (paper families, 52B,
+#                   batches 8-512, one worker) in a fresh process with
+#                   empty memo caches, 5 times (scripts/coldsweep):
+#                   the fastest and slowest wall time, the schedule keys
+#                   generated and the heap still in use after a GC, which
+#                   is what the memo caches keep.
 #   history         frozen, dated numbers whose benchmarks or counters no
 #                   longer exist, written back verbatim on every run: the
 #                   speedups and allocs/op of the optimized search over
@@ -71,7 +77,8 @@ OUT=${1:-BENCH_search.json}
 BENCHTIME=${BENCHTIME:-3x}
 BENCHCOUNT=${BENCHCOUNT:-1}
 TMP=$(mktemp)
-trap 'rm -f "$TMP"' EXIT
+COLD=$(mktemp -d)
+trap 'rm -f "$TMP"; rm -rf "$COLD"' EXIT
 
 go test -run '^$' \
 	-bench 'BenchmarkSweepFigure7(Parallel|Pruned|PrunedSerial|PrunedFault|PrunedCostModel)$|BenchmarkSimulateBatch(Fault)?$|BenchmarkServiceSearch(Cold|Cached|Store)$' \
@@ -79,7 +86,28 @@ go test -run '^$' \
 
 GOMAXPROCS_N=$(go run ./scripts/gomaxprocs 2>/dev/null || nproc 2>/dev/null || echo 1)
 
-awk -v out="$OUT" -v maxprocs="$GOMAXPROCS_N" -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
+# One fresh process per cold run, so each starts with empty memo caches.
+go build -o "$COLD/coldsweep" ./scripts/coldsweep
+for i in 1 2 3 4 5; do
+	"$COLD/coldsweep" >> "$COLD/runs"
+done
+cat "$COLD/runs"
+# Each line is {"wall_ms": W, "schedule_keys": K, "heap_inuse_mib": H, "gomaxprocs": P}.
+COLD_JSON=$(awk -F'[:,}]' '
+{
+	w = $2 + 0; k = $4 + 0; h = $6 + 0; p = $8 + 0
+	if (NR == 1 || w < wmin) wmin = w
+	if (NR == 1 || w > wmax) wmax = w
+	if (NR == 1 || h < hmin) hmin = h
+	if (NR == 1 || h > hmax) hmax = h
+	if (NR > 1 && k != keys) { print "coldsweep: schedule keys differ between runs" > "/dev/stderr"; exit 1 }
+	keys = k
+}
+END {
+	printf "{\"runs\": %d, \"wall_ms_min\": %.1f, \"wall_ms_max\": %.1f, \"schedule_keys\": %d, \"heap_inuse_mib_min\": %.1f, \"heap_inuse_mib_max\": %.1f, \"gomaxprocs\": %d}", NR, wmin, wmax, keys, hmin, hmax, p
+}' "$COLD/runs")
+
+awk -v out="$OUT" -v maxprocs="$GOMAXPROCS_N" -v cold="$COLD_JSON" -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
 /^Benchmark/ {
 	name = $1
 	sub(/-[0-9]+$/, "", name)
@@ -149,6 +177,7 @@ END {
 		printf "    \"%s\": %.3f%s\n", f, famprune[f] / 100, i < nf-1 ? "," : "" > out
 	}
 	printf "  },\n" > out
+	printf "  \"cold_sweep_figure7\": %s,\n", cold > out
 	printf "  \"history\": {\n" > out
 	printf "    \"measured\": \"2026-08-08\",\n" > out
 	printf "    \"note\": \"optimized search vs the original serial evaluator (no memo caches, reference DES loop), and the DES indexed run loop vs its reference loop (des_run), deleted after this measurement; the warm-started incumbents per pruned Figure-7 sweep, whose seed pass was deleted later; gomaxprocs 1, benchtime 3x\",\n" > out

@@ -1,0 +1,42 @@
+// Command coldsweep times one cold Figure-7 sweep in a fresh process: the
+// 52B model on the paper cluster, the paper's method families at batch
+// sizes 8 to 512, one search.SweepAll call on one worker, with every memo
+// cache empty. It prints one JSON object: the sweep's wall time, the
+// schedule keys it generated (schedule memo-cache misses), the heap still
+// in use after a GC (what the memo caches hold on to) and GOMAXPROCS.
+// scripts/bench.sh runs it several times and records the results as
+// BENCH_search.json's cold_sweep_figure7.
+//
+// Usage: go run ./scripts/coldsweep
+package main
+
+import (
+	"context"
+	"fmt"
+	"os"
+	"runtime"
+	"time"
+
+	"bfpp/internal/hw"
+	"bfpp/internal/model"
+	"bfpp/internal/schedule"
+	"bfpp/internal/search"
+)
+
+func main() {
+	batches := []int{8, 16, 32, 64, 128, 256, 512}
+	start := time.Now()
+	_, err := search.SweepAll(context.Background(), hw.PaperCluster(), model.Model52B(),
+		search.Families(), batches, search.Options{Workers: 1})
+	wall := time.Since(start)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "coldsweep:", err)
+		os.Exit(1)
+	}
+	_, keys := schedule.CacheStats()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	fmt.Printf("{\"wall_ms\": %.1f, \"schedule_keys\": %d, \"heap_inuse_mib\": %.1f, \"gomaxprocs\": %d}\n",
+		float64(wall.Microseconds())/1e3, keys, float64(ms.HeapInuse)/(1<<20), runtime.GOMAXPROCS(0))
+}
