@@ -55,8 +55,8 @@ echo "   against this tree, so a refactor cannot leave it unbuildable)"
 (cd bfppbench && go vet ./... && go test ./...)
 
 echo "== benchmarks smoke (benchtime=1x, so they cannot rot; includes the"
-echo "   SweepAppendixELarge interactive-deadline assertion)"
-go test -run '^$' -bench . -benchtime=1x . > /dev/null
+echo "   SweepAppendixELarge interactive-deadline assertion and the tensor kernels)"
+go test -run '^$' -bench . -benchtime=1x . ./internal/tensor > /dev/null
 
 echo "== worker-count invariance (the Figure 7 sweep's table on stdout and its"
 echo "   pruning counters on stderr must be byte-identical at -workers 1 and 4)"

@@ -146,8 +146,16 @@ func (p Plan) Validate(m model.Transformer) error {
 	if m.Layers%p.NumStages() != 0 {
 		return fmt.Errorf("plan: %d layers not divisible into %d stages", m.Layers, p.NumStages())
 	}
-	if p.Sharding == DPFS && p.DP == 1 {
-		return fmt.Errorf("plan: DP-FS requires DP > 1")
+	switch p.Sharding {
+	case DP0, DPPS:
+	case DPFS:
+		if p.DP == 1 {
+			return fmt.Errorf("plan: DP-FS requires DP > 1")
+		}
+	default:
+		// The memory model and the generators know only the three modes;
+		// any other value would price as no training state at all.
+		return fmt.Errorf("plan: unknown sharding %v", p.Sharding)
 	}
 	if info.CheckSharding != nil {
 		if err := info.CheckSharding(p); err != nil {

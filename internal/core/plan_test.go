@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -54,6 +55,26 @@ func TestValidateRejections(t *testing.T) {
 	for _, c := range cases {
 		if err := c.p.Validate(m); err == nil {
 			t.Errorf("%s: expected validation error", c.name)
+		}
+	}
+}
+
+// TestValidateRejectsUnknownSharding: a Sharding outside DP0, DP-PS and
+// DP-FS fails validation with an error naming the value. Plans decoded
+// from JSON cannot carry one (Sharding.UnmarshalJSON rejects unknown
+// names), but a library caller's plan can, and the memory estimate would
+// count no training state for it.
+func TestValidateRejectsUnknownSharding(t *testing.T) {
+	m := model.Model52B()
+	p := Plan{Method: GPipe, DP: 2, PP: 4, TP: 2, MicroBatch: 1, NumMicro: 8, Loops: 1}
+	if err := p.Validate(m); err != nil {
+		t.Fatalf("%v: %v", p, err)
+	}
+	for _, sh := range []Sharding{7, -23, DPFS + 1} {
+		p.Sharding = sh
+		err := p.Validate(m)
+		if err == nil || !strings.Contains(err.Error(), sh.String()) {
+			t.Errorf("sharding %d: Validate = %v, want an error naming %v", int(sh), err, sh)
 		}
 	}
 }

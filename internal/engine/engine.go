@@ -5,8 +5,12 @@
 // and weight reconstructions, tensor-parallel all-reduce overheads and the
 // optimizer step. It reports batch time, throughput (paper Eq. 11 over
 // time), GPU utilization and an overhead breakdown, plus the memory
-// estimate. The search's tier-2 price runs the same replay, so the two
-// cannot drift apart.
+// estimate. The batch time and the compute, pp and dp busy times come from
+// the replay's own summary of its per-op records (schedule.Summary); the
+// spans are laid out into a timeline only when Options.CaptureTimeline
+// asks for one, so the search's simulations allocate no span array. The
+// search's tier-2 price runs the same replay, so the two cannot drift
+// apart.
 //
 // Implementation traits follow Section 5: the paper's implementation
 // overlaps data- and pipeline-parallel communication on separate streams
@@ -62,7 +66,10 @@ type Result struct {
 	Utilization float64
 	// ComputeTime is the busy compute-stream time of the slowest device.
 	ComputeTime float64
-	// PPCommTime and DPCommTime are total transfer times (worst device).
+	// PPCommTime and DPCommTime are the pipeline-transfer and the
+	// data-parallel (reduction plus restore) times: the worst device's
+	// side-stream busy time, or the total over every device when they ride
+	// the compute streams (see schedule.Summary).
 	PPCommTime, DPCommTime float64
 	// Bubble is the analytic pipeline-bubble fraction (Eq. 9).
 	Bubble float64
@@ -82,7 +89,9 @@ func (r Result) String() string {
 // Options controls simulation extras.
 type Options struct {
 	// CaptureTimeline retains the simulated timeline, every task's span
-	// with its stream names, in the result.
+	// with its stream names, in the result. It changes no other Result
+	// field: those come from the replay's summary either way, and only a
+	// captured timeline pays for laying the spans out.
 	CaptureTimeline bool
 	// Params overrides the calibration constants when non-zero.
 	Params *Params
@@ -207,6 +216,8 @@ func Precheck(c hw.Cluster, m model.Transformer, p core.Plan, opt Options) error
 }
 
 // SimulateOpts runs one batch of the configuration and returns the result.
+// Its batch time and busy times come from the replay's Summary, so a
+// simulation that captures no timeline lays out no spans.
 func SimulateOpts(c hw.Cluster, m model.Transformer, p core.Plan, opt Options) (Result, error) {
 	costs, err := check(c, m, p, opt)
 	if err != nil {
@@ -216,46 +227,33 @@ func SimulateOpts(c hw.Cluster, m model.Transformer, p core.Plan, opt Options) (
 	if err != nil {
 		return Result{}, fmt.Errorf("engine: %w", err)
 	}
-	tl, err := sched.Replay(costs)
+	sum, tl, err := sched.Replay(costs, opt.CaptureTimeline)
 	if err != nil {
 		return Result{}, fmt.Errorf("engine: %w", err)
 	}
 
 	res := Result{
-		Plan:       p,
-		BatchTime:  tl.Makespan,
-		FlopPerGPU: m.BatchFlopPerGPU(p.MicroBatch, p.NumMicro, p.PP, p.TP),
-		Bubble:     p.Bubble(),
-		Memory:     memsim.CachedEstimate(m, p),
+		Plan:        p,
+		BatchTime:   sum.Makespan,
+		FlopPerGPU:  m.BatchFlopPerGPU(p.MicroBatch, p.NumMicro, p.PP, p.TP),
+		ComputeTime: sum.Compute,
+		PPCommTime:  sum.PP,
+		DPCommTime:  sum.DP,
+		Bubble:      p.Bubble(),
+		Memory:      memsim.CachedEstimate(m, p),
+		Timeline:    tl,
 	}
 	res.Throughput = res.FlopPerGPU / res.BatchTime
 	res.Utilization = res.Throughput / c.GPU.PeakFlops
-	// Each kind's busy time is its worst device's. The replay lays the
-	// streams out kind by kind, device by device: the compute streams,
-	// then the pp and dp streams where the plan has them.
-	ppSide, dpSide := schedule.SideStreams(p)
-	busy := [...]*float64{&res.ComputeTime, &res.PPCommTime, &res.DPCommTime}
-	var sid des.StreamID
-	for kind, on := range [...]bool{true, ppSide, dpSide} {
-		for dev := 0; on && dev < len(sched.Devices); dev++ {
-			if t := tl.BusyTime(sid); t > *busy[kind] {
-				*busy[kind] = t
-			}
-			if opt.CaptureTimeline {
+	if tl != nil {
+		// Name the streams in the replay's layout: the compute streams,
+		// then the pp and dp streams where the plan has them.
+		ppSide, dpSide := schedule.SideStreams(p)
+		for kind, on := range [...]bool{true, ppSide, dpSide} {
+			for dev := 0; on && dev < len(sched.Devices); dev++ {
 				tl.StreamNames = append(tl.StreamNames, streamName(kind, dev))
 			}
-			sid++
 		}
-	}
-	if !ppSide {
-		// Transfers rode the compute streams; account them by class.
-		res.PPCommTime = tl.ClassTime(-1, des.ClassSend)
-	}
-	if !dpSide {
-		res.DPCommTime = tl.ClassTime(-1, des.ClassReduce) + tl.ClassTime(-1, des.ClassRestore)
-	}
-	if opt.CaptureTimeline {
-		res.Timeline = tl
 	}
 	return res, nil
 }

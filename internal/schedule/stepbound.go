@@ -25,7 +25,11 @@ import (
 // Because tier 2 and the simulation run this one function, a tier-2 price
 // is the simulated batch time bit for bit — for non-overlapped and
 // overlapped plans alike — which is what lets the search skip the
-// simulation of a candidate it prices. The engine's tests check the replay
+// simulation of a candidate it prices. A simulation records every task's
+// span in pooled per-op records and sums them into a Summary (the
+// makespan and each kind's busy time) in one walk; it lays the spans out
+// into a des.Timeline only when the caller asks for one, so the search's
+// simulations allocate no span array. The engine's tests check the replay
 // against a task-graph builder run on des.Sim.RunReference, which shares
 // no code with it.
 
@@ -84,7 +88,7 @@ type replayScratch struct {
 
 	// Per-op records, sized only when recording: times[r][k] holds the
 	// span of device r's op k and of the transfer it sends, if any. next
-	// is the layout's per-stream fill cursor.
+	// is layout's per-stream fill cursor.
 	times [][]opTimes
 	next  []int
 }
@@ -530,19 +534,42 @@ func replayLB(p core.Plan, c StepCosts) (float64, bool) {
 	return runReplay(sc, p, c, progs, false)
 }
 
+// Summary is what a simulation reads off a finished replay: the batch
+// time and each kind's busy time, equal bit for bit to what des.Timeline's
+// BusyTime and ClassTime give over the replay's laid-out spans. A kind
+// with its own side stream (SideStreams) reports its worst device's stream
+// sum; a kind riding the compute streams reports its class sum over every
+// device, in span order.
+type Summary struct {
+	// Makespan is the latest finish across every stream: the batch time.
+	Makespan float64
+	// Compute is the busiest compute stream's total span time, counting
+	// the transfers, reductions and restores that ride it.
+	Compute float64
+	// PP is the busiest pp stream's total span time or, when transfers
+	// ride the compute streams, the total time of every transfer.
+	PP float64
+	// DP is the busiest dp stream's total span time or, when they ride
+	// the compute streams, the total time of every reduction plus that of
+	// every restore.
+	DP float64
+}
+
 // Replay simulates one batch of the checked schedule s under the costs c:
-// it runs the replay tier 2 prices with, recording every task's span, and
-// returns the timeline. One task stands for each op of s's programs and
-// one for each cross-device transfer. The timeline lays the spans out the
-// way the discrete-event reference executor does, with one stream per
-// device and kind: the compute streams of devices 0..n-1, then their pp
-// streams and then their dp streams where SideStreams adds them. Each
-// stream's spans are in queue order. Task ids follow a task-graph
-// builder's creation order: device by device, in program order, with each
-// transfer right after its producer. Stream names are left to the caller.
-// A replay that cannot finish returns an error; checked programs never
-// stall it.
-func (s *Schedule) Replay(c StepCosts) (*des.Timeline, error) {
+// it runs the replay tier 2 prices with, recording every task's span in
+// pooled per-op records, and returns their Summary. With timeline set it
+// also returns the timeline; otherwise the timeline is nil and the replay
+// allocates nothing in the steady state. One task stands for each op of
+// s's programs and one for each cross-device transfer. The timeline lays
+// the spans out the way the discrete-event reference executor does, with
+// one stream per device and kind: the compute streams of devices 0..n-1,
+// then their pp streams and then their dp streams where SideStreams adds
+// them. Each stream's spans are in queue order. Task ids follow a
+// task-graph builder's creation order: device by device, in program order,
+// with each transfer right after its producer. Stream names are left to
+// the caller. A replay that cannot finish returns an error; checked
+// programs never stall it.
+func (s *Schedule) Replay(c StepCosts, timeline bool) (Summary, *des.Timeline, error) {
 	p, progs := s.Plan, s.Devices
 	sc := replayScratchPool.Get().(*replayScratch)
 	defer replayScratchPool.Put(sc)
@@ -551,12 +578,94 @@ func (s *Schedule) Replay(c StepCosts) (*des.Timeline, error) {
 	if !ok {
 		for r, prog := range progs {
 			if k := sc.kComp[r]; k < len(prog) {
-				return nil, fmt.Errorf("schedule: %v: replay deadlocked: device %d blocked at %v", p, r, prog[k])
+				return Summary{}, nil, fmt.Errorf("schedule: %v: replay deadlocked: device %d blocked at %v", p, r, prog[k])
 			}
 		}
-		return nil, fmt.Errorf("schedule: %v: replay deadlocked", p)
+		return Summary{}, nil, fmt.Errorf("schedule: %v: replay deadlocked", p)
 	}
-	return layout(sc, p, progs, makespan), nil
+	sum := summarize(sc, p, progs, makespan)
+	if !timeline {
+		return sum, nil, nil
+	}
+	return sum, layout(sc, p, progs, makespan), nil
+}
+
+// transfers reports whether op sends a cross-device transfer — a forward
+// feeding the next stage or a backward feeding the previous one, hosted on
+// another device — in a plan of nStages stages whose stage-to-device map
+// is owner. send is false for a plan that sends none (one that is not
+// pipelined or has PP 1), whose owner is not set up.
+func transfers(op Op, send bool, nStages int, owner []int) bool {
+	switch {
+	case !send:
+		return false
+	case op.Kind == Forward:
+		return op.Stage < nStages-1 && owner[op.Stage] != owner[op.Stage+1]
+	case op.Kind == Backward:
+		return op.Stage > 0 && owner[op.Stage-1] != owner[op.Stage]
+	}
+	return false
+}
+
+// summarize sums the per-op records of a finished replay into its Summary
+// in one walk, in layout's order: device by device, in program order, each
+// transfer right after its producer. Each stream's spans are contiguous in
+// that layout, and the compute streams come first, device by device, so
+// every sum adds the same durations in the same order as des.Timeline's
+// BusyTime and ClassTime over the laid-out spans: the Summary is bit for
+// bit what the timeline would give.
+func summarize(sc *replayScratch, p core.Plan, progs []Program, makespan float64) Summary {
+	nStages := p.NumStages()
+	send := p.Method.Pipelined() && p.PP > 1
+	ppStream, dpStream := SideStreams(p)
+	sum := Summary{Makespan: makespan}
+	// Class sums over every device, read when the class rides the compute
+	// streams.
+	var sends, reduces, restores float64
+	for r, prog := range progs {
+		times := sc.times[r][:len(prog)]
+		var comp, pp, dp float64 // device r's stream sums
+		for k, op := range prog {
+			t := &times[k]
+			d := t.end - t.start
+			switch op.Kind {
+			case Reduce:
+				reduces += d
+			case Restore:
+				restores += d
+			}
+			if dpStream && (op.Kind == Reduce || op.Kind == Restore) {
+				dp += d
+			} else {
+				comp += d
+			}
+			if transfers(op, send, nStages, sc.owner) {
+				x := t.xEnd - t.xStart
+				sends += x
+				if ppStream {
+					pp += x
+				} else {
+					comp += x
+				}
+			}
+		}
+		if comp > sum.Compute {
+			sum.Compute = comp
+		}
+		if pp > sum.PP {
+			sum.PP = pp
+		}
+		if dp > sum.DP {
+			sum.DP = dp
+		}
+	}
+	if !ppStream {
+		sum.PP = sends
+	}
+	if !dpStream {
+		sum.DP = reduces + restores
+	}
+	return sum
 }
 
 // spanClass is the timeline class of each op kind.
@@ -572,17 +681,6 @@ func layout(sc *replayScratch, p core.Plan, progs []Program, makespan float64) *
 	ppStream, dpStream := SideStreams(p)
 	ppBase, dpBase := nDev, nDev*(1+btoi(ppStream))
 	nStreams := dpBase + nDev*btoi(dpStream)
-	sends := func(op Op) bool {
-		switch {
-		case !send:
-			return false
-		case op.Kind == Forward:
-			return op.Stage < nStages-1 && sc.owner[op.Stage] != sc.owner[op.Stage+1]
-		case op.Kind == Backward:
-			return op.Stage > 0 && sc.owner[op.Stage-1] != sc.owner[op.Stage]
-		}
-		return false
-	}
 	opStream := func(r int, k Kind) int {
 		if dpStream && (k == Restore || k == Reduce) {
 			return dpBase + r
@@ -600,7 +698,7 @@ func layout(sc *replayScratch, p core.Plan, progs []Program, makespan float64) *
 	for r, prog := range progs {
 		for _, op := range prog {
 			offsets[opStream(r, op.Kind)+1]++
-			if sends(op) {
+			if transfers(op, send, nStages, sc.owner) {
 				offsets[sendStream(r)+1]++
 			}
 		}
@@ -620,7 +718,7 @@ func layout(sc *replayScratch, p core.Plan, progs []Program, makespan float64) *
 				Stage: op.Stage, Micro: op.Micro, Start: t.start, End: t.end}
 			next[st]++
 			id++
-			if sends(op) {
+			if transfers(op, send, nStages, sc.owner) {
 				st := sendStream(r)
 				spans[next[st]] = des.Span{Task: id, Stream: des.StreamID(st), Class: des.ClassSend,
 					Stage: op.Stage, Micro: op.Micro, Start: t.xStart, End: t.xEnd}

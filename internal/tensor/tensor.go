@@ -73,10 +73,7 @@ func MatMul(a, b Matrix) Matrix {
 			if av == 0 {
 				continue
 			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
+			axpy(orow, av, b.Data[k*b.Cols:(k+1)*b.Cols])
 		}
 	}
 	return out
@@ -90,13 +87,9 @@ func MatMulTransB(a, b Matrix) Matrix {
 	out := New(a.Rows, b.Rows)
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Data[j*b.Cols : (j+1)*b.Cols]
-			var s float64
-			for k, av := range arow {
-				s += av * brow[k]
-			}
-			out.Data[i*out.Cols+j] = s
+		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
+		for j := range orow {
+			orow[j] = dot(arow, b.Data[j*b.Cols:(j+1)*b.Cols])
 		}
 	}
 	return out
@@ -116,12 +109,52 @@ func MatMulTransAInto(out, a, b Matrix) {
 			if av == 0 {
 				continue
 			}
-			orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
+			axpy(out.Data[i*out.Cols:(i+1)*out.Cols], av, brow)
 		}
 	}
+}
+
+// The matmul kernels are built on axpy and dot. Both give each output
+// element exactly the operations of a plain loop, in the same order, so
+// results are bit-identical to it. Both process four elements per
+// iteration over slices resliced to one length, so the compiler drops the
+// bounds checks from the loop bodies; the loops are then short and regular
+// enough that their speed does not hinge on where the linker places them.
+
+// axpy adds a*x[j] to y[j] for every j < len(y); x must be at least as
+// long as y.
+func axpy(y []float64, a float64, x []float64) {
+	x = x[:len(y)]
+	for len(y) >= 4 && len(x) >= 4 {
+		y[0] += a * x[0]
+		y[1] += a * x[1]
+		y[2] += a * x[2]
+		y[3] += a * x[3]
+		y, x = y[4:], x[4:]
+	}
+	x = x[:len(y)]
+	for j := range y {
+		y[j] += a * x[j]
+	}
+}
+
+// dot returns the sum of a[k]*b[k] over k < len(a), added in order from
+// zero; b must be at least as long as a.
+func dot(a, b []float64) float64 {
+	b = b[:len(a)]
+	var s float64
+	for len(a) >= 4 && len(b) >= 4 {
+		s += a[0] * b[0]
+		s += a[1] * b[1]
+		s += a[2] * b[2]
+		s += a[3] * b[3]
+		a, b = a[4:], b[4:]
+	}
+	b = b[:len(a)]
+	for k := range a {
+		s += a[k] * b[k]
+	}
+	return s
 }
 
 // AddBias adds a row vector to every row of m in place.
