@@ -125,6 +125,25 @@ func BenchmarkScheduleGeneration(b *testing.B) {
 	}
 }
 
+// BenchmarkScheduleGenerationV measures building and checking the
+// V-schedule's largest grid key (PP 128, NumMicro 256, Loops 2, the
+// default cap), the greedy list scheduler the Appendix E grids generate
+// on every cold run.
+func BenchmarkScheduleGenerationV(b *testing.B) {
+	p := core.Plan{Method: core.VSchedule, DP: 1, PP: 128, TP: 1,
+		MicroBatch: 1, NumMicro: 256, Loops: 2,
+		OverlapDP: true, OverlapPP: true}
+	for i := 0; i < b.N; i++ {
+		s, err := schedule.Generate(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := schedule.Check(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSimulateBatch measures one simulation (the schedule replay) of a
 // realistic 52B configuration.
 func BenchmarkSimulateBatch(b *testing.B) {

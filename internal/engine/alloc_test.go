@@ -8,10 +8,10 @@ import (
 )
 
 // simulateAllocs is what a warm simulation that captures no timeline
-// allocates: the Schedule wrapper schedule.Cached returns, and the
-// Shardings slice of the Traits value its memo-cache key reads. The
-// replay's working storage is pooled, and its Summary lays out no spans.
-const simulateAllocs = 2
+// allocates: the Schedule wrapper schedule.Cached returns. The memo-cache
+// key reads traits stored at registration, the replay's working storage
+// is pooled, and its Summary lays out no spans.
+const simulateAllocs = 1
 
 // TestSimulateAllocs pins simulateAllocs on every fixedPlans plan, once
 // its programs are cached and the replay's pool is warm.

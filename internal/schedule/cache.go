@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -41,8 +42,11 @@ func KeyOf(p core.Plan) Key {
 }
 
 // cacheEntry is one memoized generation: the checked device programs, or
-// the error Generate/Check produced for this key.
+// the error Generate/Check produced for this key. The first reader of a
+// key stores an empty entry, which is filled once; concurrent first
+// readers wait for that fill.
 type cacheEntry struct {
+	once    sync.Once
 	devices []Program
 	err     error
 }
@@ -50,6 +54,7 @@ type cacheEntry struct {
 var (
 	cache                sync.Map // Key -> *cacheEntry
 	cacheHits, cacheMiss atomic.Int64
+	errFillPanicked      = errors.New("schedule: generating or checking this schedule key panicked")
 )
 
 // Cached returns the checked schedule for the plan, memoizing generation
@@ -66,33 +71,38 @@ func Cached(p core.Plan) (*Schedule, error) {
 
 // programs returns the memoized checked device programs of the plan's key,
 // generating and checking them on a miss: Cached without the Schedule
-// wrapper, so the replay reads the programs without allocating.
+// wrapper, so the replay reads the programs without allocating. Each key
+// is generated once, and a reader that finds its entry still being filled
+// waits for it, so the miss count is the number of distinct keys read.
 func programs(p core.Plan) ([]Program, error) {
 	k := KeyOf(p)
-	if v, ok := cache.Load(k); ok {
+	v, hit := cache.Load(k)
+	if !hit {
+		//lint:allow globalstate memo cache keyed by Key(p); entries are pure Generate+Check results, content is call-order independent
+		v, hit = cache.LoadOrStore(k, &cacheEntry{})
+	}
+	e := v.(*cacheEntry)
+	if hit {
 		//lint:allow globalstate hit/miss counters are observability only; they never reach schedule or table bytes
 		cacheHits.Add(1)
-		e := v.(*cacheEntry)
-		return e.devices, e.err
-	}
-	//lint:allow globalstate hit/miss counters are observability only; they never reach schedule or table bytes
-	cacheMiss.Add(1)
-	e := &cacheEntry{}
-	s, err := Generate(p)
-	if err == nil {
-		err = Check(s)
-	}
-	if err != nil {
-		e.err = err
 	} else {
-		e.devices = s.Devices
+		//lint:allow globalstate hit/miss counters are observability only; they never reach schedule or table bytes
+		cacheMiss.Add(1)
 	}
-	// A racing fill for the same key computes the identical entry; keep
-	// whichever landed first so all callers share one program set.
-	//lint:allow globalstate memo cache keyed by Key(p); entries are pure Generate+Check results, content is call-order independent
-	if v, raced := cache.LoadOrStore(k, e); raced {
-		e = v.(*cacheEntry)
-	}
+	e.once.Do(func() {
+		// Overwritten below unless Generate or Check panics: the entry is
+		// then filled for good, and later readers get this error, not an
+		// empty program set.
+		e.err = errFillPanicked
+		s, err := Generate(p)
+		if err == nil {
+			err = Check(s)
+		}
+		e.err = err
+		if err == nil {
+			e.devices = s.Devices
+		}
+	})
 	return e.devices, e.err
 }
 

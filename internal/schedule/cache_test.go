@@ -3,6 +3,7 @@ package schedule
 import (
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"bfpp/internal/core"
@@ -113,5 +114,44 @@ func TestCachedConcurrent(t *testing.T) {
 	hits, misses := CacheStats()
 	if hits == 0 || misses == 0 {
 		t.Errorf("cache stats hits=%d misses=%d: expected both nonzero", hits, misses)
+	}
+}
+
+// freshKeys numbers the keys TestCachedFillsEachKeyOnce reads, so each
+// run (-count=N included) reads one no test has read before.
+var freshKeys atomic.Int64
+
+// TestCachedFillsEachKeyOnce has several goroutines read one fresh key at
+// once: the key is generated once, so misses rise by exactly one and
+// every reader gets the same programs.
+func TestCachedFillsEachKeyOnce(t *testing.T) {
+	p := core.Plan{Method: core.VSchedule, DP: 2, PP: 8, TP: 1, MicroBatch: 1,
+		NumMicro: 1000 + int(freshKeys.Add(1)), Loops: 2}
+	const readers = 8
+	_, missesBefore := CacheStats()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	got := make([]*Schedule, readers)
+	errs := make([]error, readers)
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i], errs[i] = Cached(p)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("reader %d: %v", i, err)
+		}
+		if &got[i].Devices[0] != &got[0].Devices[0] {
+			t.Errorf("reader %d got its own program set", i)
+		}
+	}
+	if _, misses := CacheStats(); misses != missesBefore+1 {
+		t.Errorf("misses rose by %d for one key read by %d goroutines, want 1", misses-missesBefore, readers)
 	}
 }

@@ -44,6 +44,11 @@ var checkScratchPool = sync.Pool{New: func() any { return &checkScratch{} }}
 //     their own micro-batch's Backward (per-micro-batch).
 //  5. Exactly one Optimize per device, as the final operation, and after
 //     every Reduce.
+//
+// Check is linear in the programs' length: each device touches only the
+// (stage, micro-batch) rows of the stages it owns, since a compute op of
+// any other stage is an error, and a restore or reduce that names another
+// device's stage checks nothing on this device.
 func Check(s *Schedule) error {
 	p := s.Plan
 	nStages := p.NumStages()
@@ -65,13 +70,17 @@ func Check(s *Schedule) error {
 	restoreMinM := growScratch(&sc.restoreMinM, nk)
 
 	for r, prog := range s.Devices {
-		// Reset the per-device tables (stages belong to one device, but a
-		// malformed schedule may place ops anywhere, so clear them all).
-		for i := 0; i < nk; i++ {
-			fwdPos[i], bwdPos[i], restoreMinM[i] = -1, -1, -1
+		// The device's own stages, in ascending order. A rank beyond the
+		// pipeline (a malformed schedule) owns none.
+		var stages []int
+		if r < p.PP || !p.Method.Pipelined() {
+			stages = p.DeviceStages(r)
 		}
-		for i := 0; i < nStages; i++ {
-			lastBwd[i], restoreMinB[i] = -1, -1
+		for _, st := range stages {
+			lastBwd[st], restoreMinB[st] = -1, -1
+			for k := idx(st, 0); k < idx(st+1, 0); k++ {
+				fwdPos[k], bwdPos[k], restoreMinM[k] = -1, -1, -1
+			}
 		}
 		reduceStage := sc.reduceStage[:0]
 		reducePos := sc.reducePos[:0]
@@ -103,7 +112,7 @@ func Check(s *Schedule) error {
 					lastBwd[op.Stage] = int32(i)
 				}
 			case Restore:
-				if op.Stage >= 0 && op.Stage < nStages {
+				if op.Stage >= 0 && op.Stage < nStages && p.StageDevice(op.Stage) == r {
 					if op.Micro == -1 {
 						// Only the exact per-batch marker satisfies the
 						// restore-before-use checks below; other negative
@@ -123,7 +132,7 @@ func Check(s *Schedule) error {
 				// against (the map-keyed original silently tolerated them);
 				// everything else is checked against bwdPos/lastBwd below,
 				// with per-micro reduces encoded as nStages + pair index.
-				if op.Stage >= 0 && op.Stage < nStages && op.Micro < nm {
+				if op.Stage >= 0 && op.Stage < nStages && op.Micro < nm && p.StageDevice(op.Stage) == r {
 					enc := int32(op.Stage)
 					if op.Micro >= 0 {
 						enc = int32(idx(op.Stage, op.Micro) + nStages)
@@ -143,13 +152,14 @@ func Check(s *Schedule) error {
 		sc.reduceStage, sc.reducePos = reduceStage, reducePos
 
 		// Causality within the device.
-		for k := 0; k < nk; k++ {
-			fp, bp := fwdPos[k], bwdPos[k]
-			if fp >= 0 && bp >= 0 && bp < fp {
-				return fmt.Errorf("device %d: backward %v before forward", r, key{k / nm, k % nm})
+		for _, st := range stages {
+			for k := idx(st, 0); k < idx(st+1, 0); k++ {
+				fp, bp := fwdPos[k], bwdPos[k]
+				if fp >= 0 && bp >= 0 && bp < fp {
+					return fmt.Errorf("device %d: backward %v before forward", r, key{k / nm, k % nm})
+				}
 			}
 		}
-		stages := p.DeviceStages(r)
 		for mb := 0; mb < nm; mb++ {
 			for i := 1; i < len(stages); i++ {
 				lo, hi := idx(stages[i-1], mb), idx(stages[i], mb)
@@ -194,12 +204,14 @@ func Check(s *Schedule) error {
 				}
 				return false
 			}
-			for k := 0; k < nk; k++ {
-				if fp := fwdPos[k]; fp >= 0 && !hasRestoreBefore(k, fp) {
-					return fmt.Errorf("device %d: forward %v without preceding restore", r, key{k / nm, k % nm})
-				}
-				if bp := bwdPos[k]; bp >= 0 && !hasRestoreBefore(k, bp) {
-					return fmt.Errorf("device %d: backward %v without preceding restore", r, key{k / nm, k % nm})
+			for _, st := range stages {
+				for k := idx(st, 0); k < idx(st+1, 0); k++ {
+					if fp := fwdPos[k]; fp >= 0 && !hasRestoreBefore(k, fp) {
+						return fmt.Errorf("device %d: forward %v without preceding restore", r, key{k / nm, k % nm})
+					}
+					if bp := bwdPos[k]; bp >= 0 && !hasRestoreBefore(k, bp) {
+						return fmt.Errorf("device %d: backward %v without preceding restore", r, key{k / nm, k % nm})
+					}
 				}
 			}
 		}

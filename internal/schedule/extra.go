@@ -82,7 +82,9 @@ func vCap(p core.Plan) int {
 // deadlock-free at any cap the op at the head of the serial
 // micro-batch-major order is always cap-exempt, so the worst-device
 // in-flight can exceed the cap by a few pairs; the memory-model hook
-// reports the exact generated peak.
+// reports the exact generated peak. Generate keeps each device's ready
+// ops in heaps and its next op cached, so building a program costs
+// O(ops * log PP).
 type vScheduleGen struct{}
 
 func (vScheduleGen) Method() core.Method { return core.VSchedule }
@@ -149,159 +151,222 @@ func (vScheduleGen) Traits() Traits {
 	}
 }
 
-// vOp identifies one compute op during V-schedule construction.
-type vOp struct {
+// vNext is a device's next op under the V-schedule's priority rule: its
+// lowest ready backward, else its lowest ready forward when the device is
+// under the in-flight cap or that forward is the serial head. Ready ops
+// are ordered by key micro*nStages + stage, lowest first.
+type vNext struct {
+	ok       bool
 	backward bool
-	stage    int
-	micro    int
+	key      int
+	start    float64 // when the op can start on the device
 }
 
-// vPriority orders a device's ready ops: backwards before forwards, then
-// lowest micro-batch, then lowest stage.
-func vPriority(a, b vOp) bool {
-	if a.backward != b.backward {
-		return a.backward
+// heapPush adds key to the min-heap h.
+func heapPush(h []int, key int) []int {
+	h = append(h, key)
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if h[up] <= h[i] {
+			break
+		}
+		h[up], h[i] = h[i], h[up]
+		i = up
 	}
-	if a.micro != b.micro {
-		return a.micro < b.micro
+	return h
+}
+
+// heapPop removes the minimum of the min-heap h.
+func heapPop(h []int) []int {
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
-	return a.stage < b.stage
+	return h
 }
 
 func (vScheduleGen) Generate(p core.Plan) (*Schedule, error) {
 	nStages := p.Stages()
 	nm := p.NumMicro
+	nk := nStages * nm
 	capPairs := vCap(p)
 
-	// Finish times of scheduled ops, indexed forward = s*nm + m and
-	// backward = (nStages+s)*nm + m; a negative value means unscheduled.
-	fin := make([]float64, 2*nStages*nm)
-	for i := range fin {
-		fin[i] = -1
-	}
-	fIdx := func(s, m int) int { return s*nm + m }
-	bIdx := func(s, m int) int { return (nStages+s)*nm + m }
-
+	// An op's key is micro*nStages + stage: backwards before forwards,
+	// then lowest micro-batch, then lowest stage is the priority order.
+	// fin holds finish times, forward at key and backward at nk+key; zero
+	// means unscheduled (every op ends at 1 or later).
+	fin := make([]float64, 2*nk)
 	owner := make([]int, nStages)
 	for s := range owner {
 		owner[s] = p.StageDevice(s)
 	}
 
-	ready := make([][]vOp, p.PP) // per-device ready compute ops
+	fwd := make([][]int, p.PP) // per-device ready forwards, min-heaps
+	bwd := make([][]int, p.PP) // per-device ready backwards, min-heaps
 	for m := 0; m < nm; m++ {
-		ready[owner[0]] = append(ready[owner[0]], vOp{stage: 0, micro: m})
+		fwd[owner[0]] = append(fwd[owner[0]], m*nStages) // ascending: a heap
 	}
-	free := make([]float64, p.PP)  // per-device stream frontier
-	inflight := make([]int, p.PP)  // forwards issued minus backwards issued
-	progs := make([]Program, p.PP) // emitted programs, in schedule order
-	serial := 0                    // head of the micro-major serial order
-	scheduled, total := 0, 2*nStages*nm
-
-	// serialOp returns the k-th op of the serial micro-batch-major order
-	// (micro 0: F stages 0..n-1 then B stages n-1..0, then micro 1, ...),
-	// a valid topological order whose head is always cap-exempt.
-	serialOp := func(k int) vOp {
-		m, r := k/(2*nStages), k%(2*nStages)
-		if r < nStages {
-			return vOp{stage: r, micro: m}
-		}
-		return vOp{backward: true, stage: 2*nStages - 1 - r, micro: m}
+	free := make([]float64, p.PP) // per-device stream frontier
+	inflight := make([]int, p.PP) // forwards issued minus backwards issued
+	progs := make([]Program, p.PP)
+	for d := range progs {
+		// Each device runs a forward and a backward of every (local stage,
+		// micro-batch) pair, then its reduces and the optimizer step.
+		progs[d] = make(Program, 0, 2*p.Loops*nm+p.Loops+1)
 	}
 
-	// depFinish returns the latest finish among an op's dependencies
-	// (guaranteed scheduled for ready ops).
-	depFinish := func(o vOp) float64 {
-		var t float64
-		if !o.backward {
-			if o.stage > 0 {
-				t = fin[fIdx(o.stage-1, o.micro)]
-			}
-			return t
-		}
-		t = fin[fIdx(o.stage, o.micro)]
-		if o.stage < nStages-1 {
-			if bt := fin[bIdx(o.stage+1, o.micro)]; bt > t {
-				t = bt
-			}
-		}
-		return t
-	}
-
-	for scheduled < total {
-		// Advance the serial head past already-scheduled ops.
-		for serial < total {
-			h := serialOp(serial)
-			idx := fIdx(h.stage, h.micro)
-			if h.backward {
-				idx = bIdx(h.stage, h.micro)
-			}
-			if fin[idx] < 0 {
+	// The serial micro-batch-major order (micro 0: F stages 0..n-1 then B
+	// stages n-1..0, then micro 1, ...) is a valid topological order, so
+	// its first unscheduled op, the head, is always ready and cap-exempt.
+	// headFwd is the head's key when it is a forward, else -1, and
+	// headDev its device. A ready forward of the head's micro-batch must
+	// be the head itself, and every other ready forward has a later
+	// micro-batch, so a forward head is always the top of its device's
+	// forward heap.
+	serial, total := 0, 2*nk
+	headFwd, headDev := -1, -1
+	// advanceHead moves the head past scheduled ops and reports whether
+	// it moved.
+	advanceHead := func() bool {
+		from := serial
+		for ; serial < total; serial++ {
+			m, r := serial/(2*nStages), serial%(2*nStages)
+			if r < nStages {
+				if k := m*nStages + r; fin[k] == 0 {
+					headFwd, headDev = k, owner[r]
+					break
+				}
+			} else if st := 2*nStages - 1 - r; fin[nk+m*nStages+st] == 0 {
+				headFwd, headDev = -1, owner[st]
 				break
 			}
-			serial++
 		}
-		head := serialOp(serial)
+		return serial != from
+	}
 
-		// Pick, per device, its best runnable op (ready backwards always;
-		// ready forwards when under the cap or at the serial head), then
-		// the device whose op starts earliest.
-		bestDev, bestAt := -1, -1
-		var bestStart float64
-		for d := 0; d < p.PP; d++ {
-			at := -1
-			for i, o := range ready[d] {
-				if !o.backward && inflight[d] >= capPairs && o != head {
-					continue
+	// next caches each device's next op; a tournament tree over the
+	// devices (leaves padded to a power of two) keeps the device whose op
+	// starts earliest, the lowest device on ties, at tree[1].
+	leaves := 1
+	for leaves < p.PP {
+		leaves *= 2
+	}
+	next := make([]vNext, leaves)
+	tree := make([]int, 2*leaves)
+	for i := range leaves {
+		tree[leaves+i] = i
+	}
+	// match settles tree node i: its right child's device wins only when
+	// its op starts strictly earlier than the left child's device's.
+	match := func(i int) {
+		l, r := tree[2*i], tree[2*i+1]
+		if next[r].ok && (!next[l].ok || next[r].start < next[l].start) {
+			tree[i] = r
+		} else {
+			tree[i] = l
+		}
+	}
+	for i := leaves - 1; i >= 1; i-- {
+		match(i)
+	}
+	refresh := func(d int) {
+		n := vNext{ok: true}
+		switch {
+		case len(bwd[d]) > 0:
+			n.backward, n.key = true, bwd[d][0]
+		case len(fwd[d]) > 0 && (inflight[d] < capPairs || fwd[d][0] == headFwd):
+			n.key = fwd[d][0]
+		default:
+			n.ok = false
+		}
+		if n.ok {
+			// The latest finish among the op's dependencies.
+			var dep float64
+			if stage := n.key % nStages; !n.backward {
+				if stage > 0 {
+					dep = fin[n.key-1]
 				}
-				if at < 0 || vPriority(o, ready[d][at]) {
-					at = i
+			} else {
+				dep = fin[n.key]
+				if stage < nStages-1 {
+					if t := fin[nk+n.key+1]; t > dep {
+						dep = t
+					}
 				}
 			}
-			if at < 0 {
-				continue
-			}
-			start := free[d]
-			if t := depFinish(ready[d][at]); t > start {
-				start = t
-			}
-			if bestDev < 0 || start < bestStart {
-				bestDev, bestAt, bestStart = d, at, start
+			n.start = free[d]
+			if dep > n.start {
+				n.start = dep
 			}
 		}
-		if bestDev < 0 {
+		next[d] = n
+		for i := (leaves + d) / 2; i >= 1; i /= 2 {
+			match(i)
+		}
+	}
+	advanceHead()
+	refresh(owner[0])
+
+	for scheduled := 0; scheduled < total; scheduled++ {
+		d := tree[1]
+		n := next[d]
+		if !n.ok {
 			// Unreachable: the serial head is always runnable on its device.
 			return nil, fmt.Errorf("schedule: v-schedule stalled at cap %d (%d/%d ops)", capPairs, scheduled, total)
 		}
-
-		d, o := bestDev, ready[bestDev][bestAt]
-		ready[d] = append(ready[d][:bestAt], ready[d][bestAt+1:]...)
-		dur := 1.0 // forward unit time
-		if o.backward {
-			dur = 2.0 // backward (with recompute) roughly twice the forward
-		}
-		end := bestStart + dur
-		free[d] = end
-		scheduled++
-		if o.backward {
-			fin[bIdx(o.stage, o.micro)] = end
+		stage, micro := n.key%nStages, n.key/nStages
+		recv := d // the device the newly ready op lands on
+		if n.backward {
+			end := n.start + 2.0 // backward (with recompute) roughly twice the forward
+			bwd[d] = heapPop(bwd[d])
+			fin[nk+n.key] = end
+			free[d] = end
 			inflight[d]--
-			progs[d] = append(progs[d], Op{Backward, o.stage, o.micro})
-			if o.stage > 0 {
+			progs[d] = append(progs[d], Op{Backward, stage, micro})
+			if stage > 0 {
 				// F(stage-1, micro) finished long ago (it is upstream of
 				// this backward), so B(stage-1, micro) is now ready.
-				ready[owner[o.stage-1]] = append(ready[owner[o.stage-1]],
-					vOp{backward: true, stage: o.stage - 1, micro: o.micro})
+				recv = owner[stage-1]
+				bwd[recv] = heapPush(bwd[recv], n.key-1)
 			}
 		} else {
-			fin[fIdx(o.stage, o.micro)] = end
+			end := n.start + 1.0 // forward unit time
+			fwd[d] = heapPop(fwd[d])
+			fin[n.key] = end
+			free[d] = end
 			inflight[d]++
-			progs[d] = append(progs[d], Op{Forward, o.stage, o.micro})
-			if o.stage < nStages-1 {
-				ready[owner[o.stage+1]] = append(ready[owner[o.stage+1]],
-					vOp{stage: o.stage + 1, micro: o.micro})
+			progs[d] = append(progs[d], Op{Forward, stage, micro})
+			if stage < nStages-1 {
+				recv = owner[stage+1]
+				fwd[recv] = heapPush(fwd[recv], n.key+1)
 			} else {
-				ready[d] = append(ready[d], vOp{backward: true, stage: o.stage, micro: o.micro})
+				bwd[d] = heapPush(bwd[d], n.key)
 			}
+		}
+		// Only the scheduled device, the device that received the newly
+		// ready op and, when the head moved (it moves only when it is
+		// scheduled, on d), the new head's device can change their next
+		// op; every other device's is unchanged.
+		moved := advanceHead()
+		refresh(d)
+		if recv != d {
+			refresh(recv)
+		}
+		if moved && serial < total && headDev != d && headDev != recv {
+			refresh(headDev)
 		}
 	}
 

@@ -17,13 +17,11 @@ import (
 // a fuzzed layer count (1 to 256), because Validate reads the model only
 // through the stage divisibility, so every registered model's shapes are
 // in reach, the 1T model's 128 layers included. Sizes reach the search's
-// grids: PP up to 128 and NumMicro up to 512, as the Figure-7 and
-// Appendix E sweeps enumerate. The V-schedule alone stays at PP and
-// NumMicro up to 16, which keeps its greedy generator fast; its grid
-// sizes are checked by TestEnumeratedPlansGenerate in internal/search.
-// Sharding, the sequence dial and the overlap flags are taken raw. The
-// seed corpus under testdata/fuzz holds a valid plan of every registered
-// method and a few at grid sizes.
+// grids, for every method: PP up to 128 and NumMicro up to 512, as the
+// Figure-7 and Appendix E sweeps enumerate. Sharding, the sequence dial
+// and the overlap flags are taken raw. The seed corpus under
+// testdata/fuzz holds a valid plan of every registered method and a few
+// at grid sizes.
 func FuzzValidatedPlanGenerates(f *testing.F) {
 	f.Fuzz(func(t *testing.T, method, layers, dp, pp, tp, microBatch uint8, numMicro uint16, loops uint8, sharding, sequence int8, overlapDP, overlapPP bool) {
 		m := model.Model52B()
@@ -36,9 +34,6 @@ func FuzzValidatedPlanGenerates(f *testing.F) {
 			Loops:    1 + int(loops%128),
 			Sharding: core.Sharding(sharding), Sequence: int(sequence),
 			OverlapDP: overlapDP, OverlapPP: overlapPP,
-		}
-		if p.Method == core.VSchedule {
-			p.PP, p.NumMicro = 1+int(pp%16), 1+int(numMicro%16)
 		}
 		if p.Validate(m) != nil {
 			return

@@ -13,7 +13,14 @@ import (
 // byte-identical device programs to the pre-refactor switch-based code:
 // testdata/golden_programs.txt was generated by the seed implementation
 // over this exact plan matrix and must never drift for the paper's seven
-// methods.
+// methods. The WS-1F1B and V-schedule cases at the end were generated by
+// the V-schedule's original list scheduler, which rescanned every
+// device's ready list per op; they pin the heap-driven one to its
+// choices: the default cap, the deadlock-floor cap (Loops, where the
+// serial-head exemption fires), the midpoint and 2*PP caps, NumMicro not
+// a multiple of PP, PP 1 to 8, Loops 2 and 4, and DP 1 and 2. The last,
+// five-loop case moves the serial head onto a device that sits at its
+// cap with no backward ready, which only the head's exemption lets run.
 func TestGoldenPrograms(t *testing.T) {
 	var b strings.Builder
 	type pc struct {
@@ -46,10 +53,24 @@ func TestGoldenPrograms(t *testing.T) {
 		{core.NoPipelineBF, 1, 4, 4, 2, core.DP0, 0},
 		{core.NoPipelineBF, 1, 4, 4, 2, core.DPFS, 0},
 		{core.NoPipelineBF, 1, 3, 2, 1, core.DP0, 0},
+		{core.WeightStash1F1B, 4, 8, 1, 2, core.DP0, 0},
+		{core.VSchedule, 1, 3, 2, 1, core.DP0, 0},
+		{core.VSchedule, 2, 4, 2, 2, core.DP0, 0},
+		{core.VSchedule, 3, 5, 2, 1, core.DP0, 0},
+		{core.VSchedule, 4, 8, 2, 1, core.DP0, 0},
+		{core.VSchedule, 4, 8, 2, 2, core.DP0, 2},
+		{core.VSchedule, 4, 6, 2, 1, core.DP0, 8},
+		{core.VSchedule, 4, 8, 4, 1, core.DP0, 4},
+		{core.VSchedule, 5, 7, 2, 2, core.DP0, 3},
+		{core.VSchedule, 6, 9, 4, 1, core.DP0, 0},
+		{core.VSchedule, 7, 10, 2, 1, core.DP0, 2},
+		{core.VSchedule, 8, 16, 2, 2, core.DP0, 0},
+		{core.VSchedule, 8, 12, 4, 1, core.DP0, 4},
+		{core.VSchedule, 8, 16, 4, 2, core.DP0, 16},
+		{core.VSchedule, 4, 11, 5, 1, core.DP0, 10},
 	}
 	for _, c := range cases {
-		overlap := c.m == core.BreadthFirst || c.m == core.GPipe ||
-			c.m == core.NoPipelineBF || c.m == core.NoPipelineDF || c.m == core.Hybrid
+		overlap := TraitsOf(c.m).Overlap
 		p := core.Plan{Method: c.m, DP: c.dp, PP: c.pp, TP: 1,
 			MicroBatch: 1, NumMicro: c.nmb, Loops: c.l,
 			Sharding: c.sh, Sequence: c.seq,

@@ -109,26 +109,38 @@ type Generator interface {
 	Generate(p core.Plan) (*Schedule, error)
 }
 
+// registered is one published generator with the traits it declared at
+// registration, the conservative InFlight default already applied.
+type registered struct {
+	gen    Generator
+	traits Traits
+}
+
 var reg struct {
 	sync.RWMutex
-	byMethod map[core.Method]Generator
+	byMethod map[core.Method]registered
 	order    []Generator
 }
 
 // Register publishes a schedule generator. It is called at init time (this
 // package registers the paper's seven methods and the two extension
-// schedules) and panics on a duplicate method.
+// schedules) and panics on a duplicate method. The generator's Traits are
+// read once, here.
 func Register(g Generator) {
 	m := g.Method()
+	tr := g.Traits()
+	if tr.InFlight == nil {
+		tr.InFlight = conservativeInFlight
+	}
 	reg.Lock()
 	defer reg.Unlock()
 	if reg.byMethod == nil {
-		reg.byMethod = map[core.Method]Generator{}
+		reg.byMethod = map[core.Method]registered{}
 	}
 	if _, ok := reg.byMethod[m]; ok {
 		panic(fmt.Sprintf("schedule: generator for method %v registered twice", m))
 	}
-	reg.byMethod[m] = g
+	reg.byMethod[m] = registered{gen: g, traits: tr}
 	reg.order = append(reg.order, g)
 }
 
@@ -136,8 +148,8 @@ func Register(g Generator) {
 func Lookup(m core.Method) (Generator, bool) {
 	reg.RLock()
 	defer reg.RUnlock()
-	g, ok := reg.byMethod[m]
-	return g, ok
+	e, ok := reg.byMethod[m]
+	return e.gen, ok
 }
 
 // Generators returns every registered generator in registration order
@@ -155,14 +167,14 @@ func conservativeInFlight(p core.Plan) int { return p.NumMicro * p.Loops }
 // TraitsOf returns the registered traits of a method. Unregistered
 // methods — and registered generators that left the hook nil — get the
 // conservative InFlight default, so the memory estimator never calls a
-// nil hook.
+// nil hook. Every call returns the value stored at registration, so it
+// allocates nothing; callers share its Shardings slice and must not
+// modify it.
 func TraitsOf(m core.Method) Traits {
-	if g, ok := Lookup(m); ok {
-		tr := g.Traits()
-		if tr.InFlight == nil {
-			tr.InFlight = conservativeInFlight
-		}
-		return tr
+	reg.RLock()
+	defer reg.RUnlock()
+	if e, ok := reg.byMethod[m]; ok {
+		return e.traits
 	}
 	return Traits{InFlight: conservativeInFlight}
 }

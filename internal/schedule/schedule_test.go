@@ -237,33 +237,242 @@ func TestInvariantsProperty(t *testing.T) {
 	}
 }
 
-// The checker must actually catch violations.
+// TestCheckCatchesCorruption corrupts generated programs against every
+// invariant Check documents and pins the first error Check returns, on a
+// non-looped GPipe plan, a looped DP-FS breadth-first plan and a
+// V-schedule plan (whose zigzag placement gives each device an early and
+// a late stage). The texts were recorded with the original Check, which
+// reset and rescanned every (stage, micro-batch) row once per device; the
+// linear Check must return the same first error. A "" want means Check
+// accepts the corruption, and a base missing from want skips it (the
+// looped stage orders need two stages per device).
 func TestCheckCatchesCorruption(t *testing.T) {
-	base := plan(core.GPipe, 4, 8, 1)
+	gpipe := plan(core.GPipe, 4, 8, 1)
+	gpipe.DP = 2
+	bf := plan(core.BreadthFirst, 4, 8, 2)
+	bf.DP, bf.Sharding = 2, core.DPFS
+	v := plan(core.VSchedule, 4, 8, 2)
+	v.DP = 2
+	bases := map[string]core.Plan{"gpipe": gpipe, "bf": bf, "v": v}
+
+	find := func(prog Program, op Op) int {
+		for i, o := range prog {
+			if o == op {
+				return i
+			}
+		}
+		t.Fatalf("%v not in %s", op, progString(prog))
+		return -1
+	}
+	swap := func(prog Program, a, b Op) {
+		i, j := find(prog, a), find(prog, b)
+		prog[i], prog[j] = prog[j], prog[i]
+	}
+	remove := func(prog Program, op Op) Program {
+		i := find(prog, op)
+		return append(prog[:i:i], prog[i+1:]...)
+	}
+	prepend := func(prog Program, ops ...Op) Program {
+		return append(append(Program(nil), ops...), prog...)
+	}
+	// withoutRestores drops a program's restores of the given stages (of
+	// every stage when none are given).
+	withoutRestores := func(prog Program, stages ...int) Program {
+		var out Program
+		for _, o := range prog {
+			drop := o.Kind == Restore && len(stages) == 0
+			for _, st := range stages {
+				drop = drop || (o.Kind == Restore && o.Stage == st)
+			}
+			if !drop {
+				out = append(out, o)
+			}
+		}
+		return out
+	}
+
 	corruptions := []struct {
 		name string
-		mut  func(*Schedule)
+		mut  func(s *Schedule)
+		want map[string]string
 	}{
-		{"drop forward", func(s *Schedule) { s.Devices[0] = s.Devices[0][1:] }},
+		{"drop forward", func(s *Schedule) {
+			st := s.Plan.DeviceStages(0)[0]
+			s.Devices[0] = remove(s.Devices[0], Op{Forward, st, 0})
+		}, map[string]string{
+			"gpipe": "stage 0 micro 0: 0 forwards, want 1",
+			"bf":    "stage 0 micro 0: 0 forwards, want 1",
+			"v":     "stage 0 micro 0: 0 forwards, want 1",
+		}},
 		{"double forward", func(s *Schedule) {
-			s.Devices[0] = append(Program{s.Devices[0][0]}, s.Devices[0]...)
+			st := s.Plan.DeviceStages(0)[0]
+			s.Devices[0] = prepend(s.Devices[0], Op{Forward, st, 0})
+		}, map[string]string{
+			"gpipe": "stage 0 micro 0: 2 forwards, want 1",
+			"bf":    "stage 0 micro 0: 2 forwards, want 1",
+			"v":     "stage 0 micro 0: 2 forwards, want 1",
 		}},
 		{"backward before forward", func(s *Schedule) {
-			p := s.Devices[0]
-			p[0], p[8] = p[8], p[0] // swap F.0 with B.0
+			st := s.Plan.DeviceStages(0)[0]
+			swap(s.Devices[0], Op{Forward, st, 0}, Op{Backward, st, 0})
+		}, map[string]string{
+			"gpipe": "device 0: backward {0 0} before forward",
+			"bf":    "device 0: backward {0 0} before forward",
+			"v":     "device 0: backward {0 0} before forward",
+		}},
+		{"looped forward stage order", func(s *Schedule) {
+			st := s.Plan.DeviceStages(0)
+			swap(s.Devices[0], Op{Forward, st[0], 0}, Op{Forward, st[1], 0})
+		}, map[string]string{
+			"bf": "device 0: forward {4 0} before {0 0}",
+			"v":  "device 0: forward {7 0} before {0 0}",
+		}},
+		{"looped backward stage order", func(s *Schedule) {
+			st := s.Plan.DeviceStages(0)
+			swap(s.Devices[0], Op{Backward, st[0], 0}, Op{Backward, st[1], 0})
+		}, map[string]string{
+			"bf": "device 0: backward {0 0} before {4 0}",
+			"v":  "device 0: backward {0 0} before {7 0}",
+		}},
+		{"per-batch reduce before its backward", func(s *Schedule) {
+			st := s.Plan.DeviceStages(0)[0]
+			s.Devices[0] = prepend(remove(s.Devices[0], Op{Reduce, st, -1}), Op{Reduce, st, -1})
+		}, map[string]string{
+			"gpipe": "device 0: reduce of stage 0 at 0 before last backward at 16",
+			"bf":    "device 0: reduce of stage 0 at 0 before last backward at 37",
+			"v":     "device 0: reduce of stage 0 at 0 before last backward at 32",
+		}},
+		{"per-micro reduce before its backward", func(s *Schedule) {
+			st := s.Plan.DeviceStages(0)[0]
+			s.Devices[0] = prepend(s.Devices[0], Op{Reduce, st, 0})
+		}, map[string]string{
+			"gpipe": "device 0: reduce {0 0} at 0 before its backward at 9",
+			"bf":    "device 0: reduce {0 0} at 0 before its backward at 30",
+			"v":     "device 0: reduce {0 0} at 0 before its backward at 7",
+		}},
+		{"DP-FS stage without restore", func(s *Schedule) {
+			s.Plan.Sharding = core.DPFS
+			s.Devices[0] = withoutRestores(s.Devices[0], s.Plan.DeviceStages(0)[0])
+		}, map[string]string{
+			"gpipe": "device 0: forward {0 0} without preceding restore",
+			"bf":    "device 0: forward {0 0} without preceding restore",
+			"v":     "device 0: forward {0 0} without preceding restore",
+		}},
+		// Device 0 restores its earlier stages up front and its last stage
+		// only after that stage's first forward, mid-program.
+		{"DP-FS restore after first use", func(s *Schedule) {
+			s.Plan.Sharding = core.DPFS
+			st := s.Plan.DeviceStages(0)
+			late := st[len(st)-1]
+			var ws []Op
+			for _, x := range st[:len(st)-1] {
+				ws = append(ws, Op{Restore, x, -1})
+			}
+			prog := prepend(withoutRestores(s.Devices[0]), ws...)
+			i := find(prog, Op{Forward, late, 0}) + 1
+			s.Devices[0] = append(prog[:i:i], append(Program{{Restore, late, -1}}, prog[i:]...)...)
+		}, map[string]string{
+			"bf": "device 0: forward {4 0} without preceding restore",
+			"v":  "device 0: forward {7 0} without preceding restore",
+		}},
+		// Device 0 restores device 1's stages too, and device 1 restores
+		// nothing: a restore counts only on the device that runs it.
+		{"restore of another device's stage", func(s *Schedule) {
+			s.Plan.Sharding = core.DPFS
+			var ws []Op
+			for _, st := range append(s.Plan.DeviceStages(0), s.Plan.DeviceStages(1)...) {
+				ws = append(ws, Op{Restore, st, -1})
+			}
+			for d := range s.Devices {
+				s.Devices[d] = withoutRestores(s.Devices[d])
+			}
+			s.Devices[0] = prepend(s.Devices[0], ws...)
+		}, map[string]string{
+			"gpipe": "device 1: forward {1 0} without preceding restore",
+			"bf":    "device 1: forward {1 0} without preceding restore",
+			"v":     "device 1: forward {1 0} without preceding restore",
+		}},
+		// A reduce is checked against its own device's backwards only.
+		{"reduce of another device's stage", func(s *Schedule) {
+			st := s.Plan.DeviceStages(0)[0]
+			s.Devices[1] = prepend(s.Devices[1], Op{Reduce, st, -1}, Op{Reduce, st, 0})
+		}, map[string]string{
+			"gpipe": "",
+			"bf":    "",
+			"v":     "",
+		}},
+		{"second optimize", func(s *Schedule) {
+			s.Devices[1] = prepend(s.Devices[1], Op{Optimize, -1, -1})
+		}, map[string]string{
+			"gpipe": "device 1: multiple Optimize ops",
+			"bf":    "device 1: multiple Optimize ops",
+			"v":     "device 1: multiple Optimize ops",
 		}},
 		{"optimize not last", func(s *Schedule) {
 			p := s.Devices[1]
 			p[len(p)-1], p[len(p)-2] = p[len(p)-2], p[len(p)-1]
+		}, map[string]string{
+			"gpipe": "device 1: Optimize not final op (pos 16 of 18)",
+			"bf":    "device 1: Optimize not final op (pos 37 of 39)",
+			"v":     "device 1: Optimize not final op (pos 33 of 35)",
 		}},
-		{"wrong owner", func(s *Schedule) { s.Devices[0][0].Stage = 1 }},
-		{"micro out of range", func(s *Schedule) { s.Devices[0][0].Micro = 99 }},
+		{"wrong owner", func(s *Schedule) {
+			st := s.Plan.DeviceStages(0)[0]
+			s.Devices[0][find(s.Devices[0], Op{Forward, st, 0})].Stage = s.Plan.DeviceStages(1)[0]
+		}, map[string]string{
+			"gpipe": "device 0 op F1.0: stage owned by device 1",
+			"bf":    "device 0 op F1.0: stage owned by device 1",
+			"v":     "device 0 op F1.0: stage owned by device 1",
+		}},
+		{"micro out of range", func(s *Schedule) {
+			st := s.Plan.DeviceStages(0)[0]
+			s.Devices[0][find(s.Devices[0], Op{Forward, st, 0})].Micro = s.Plan.NumMicro
+		}, map[string]string{
+			"gpipe": "device 0 op 0: micro 8 out of range",
+			"bf":    "device 0 op 1: micro 8 out of range",
+			"v":     "device 0 op 0: micro 8 out of range",
+		}},
+		{"stage out of range", func(s *Schedule) {
+			st := s.Plan.DeviceStages(0)[0]
+			s.Devices[0][find(s.Devices[0], Op{Forward, st, 0})].Stage = s.Plan.NumStages()
+		}, map[string]string{
+			"gpipe": "device 0 op 0: stage 4 out of range",
+			"bf":    "device 0 op 1: stage 8 out of range",
+			"v":     "device 0 op 0: stage 8 out of range",
+		}},
+		{"unknown kind", func(s *Schedule) {
+			s.Devices[0] = prepend(s.Devices[0], Op{Optimize + 1, 0, 0})
+		}, map[string]string{
+			"gpipe": "device 0 op 0: unknown kind Kind(5)",
+			"bf":    "device 0 op 0: unknown kind Kind(5)",
+			"v":     "device 0 op 0: unknown kind Kind(5)",
+		}},
+		// Completeness is the one check made across devices.
+		{"backward missing on the last device", func(s *Schedule) {
+			last := len(s.Devices) - 1
+			st := s.Plan.DeviceStages(last)[0]
+			s.Devices[last] = remove(s.Devices[last], Op{Backward, st, s.Plan.NumMicro - 1})
+		}, map[string]string{
+			"gpipe": "stage 3 micro 7: 0 backwards, want 1",
+			"bf":    "stage 3 micro 7: 0 backwards, want 1",
+			"v":     "stage 3 micro 7: 0 backwards, want 1",
+		}},
 	}
 	for _, c := range corruptions {
-		s := mustGen(t, base)
-		c.mut(s)
-		if err := Check(s); err == nil {
-			t.Errorf("%s: corruption not detected", c.name)
+		for _, base := range []string{"gpipe", "bf", "v"} {
+			want, ok := c.want[base]
+			if !ok {
+				continue
+			}
+			s := mustGen(t, bases[base])
+			c.mut(s)
+			got := ""
+			if err := Check(s); err != nil {
+				got = err.Error()
+			}
+			if got != want {
+				t.Errorf("%s on %s: Check = %q, want %q", c.name, base, got, want)
+			}
 		}
 	}
 }

@@ -360,9 +360,10 @@ func TestHTTPBodyTooLarge(t *testing.T) {
 // TestHTTPPartialOnDeadline forces graceful degradation deterministically:
 // seeded pool stalls slow the sweep so the deadline fires mid-flight, and
 // the response must be either 504 or a 200 carrying "partial": true —
-// never a complete table.
+// never a complete table. Each stall outlasts the 50 ms deadline, so the
+// sweep cannot finish in time however fast it prices.
 func TestHTTPPartialOnDeadline(t *testing.T) {
-	inj := fault.NewSeeded(3).Rate(fault.PoolItem, 1, fault.Fault{Kind: fault.Delay, Sleep: 5 * time.Millisecond})
+	inj := fault.NewSeeded(3).Rate(fault.PoolItem, 1, fault.Fault{Kind: fault.Delay, Sleep: 100 * time.Millisecond})
 	s := New(Config{Injector: inj, CacheEntries: -1})
 	srv := httptest.NewServer(Handler(s))
 	defer srv.Close()

@@ -50,6 +50,12 @@
 #                   the fastest and slowest wall time, the schedule keys
 #                   generated and the heap still in use after a GC, which
 #                   is what the memo caches keep.
+#   cold_sweep_every_family the same cold sweep over every registered
+#                   family (coldsweep -families every), whose V-schedule
+#                   group generates most of its schedule keys.
+#   ScheduleGeneration(V) building and checking one schedule key: the
+#                   breadth-first PP-8 DP-FS key and the V-schedule's
+#                   PP-128, NumMicro-256 grid key.
 #   history         frozen, dated numbers whose benchmarks or counters no
 #                   longer exist, written back verbatim on every run: the
 #                   speedups and allocs/op of the optimized search over
@@ -88,33 +94,39 @@ COLD=$(mktemp -d)
 trap 'rm -f "$TMP"; rm -rf "$COLD"' EXIT
 
 go test -run '^$' \
-	-bench 'BenchmarkSweepFigure7(Parallel|Pruned|PrunedSerial|PrunedFault|PrunedCostModel)$|BenchmarkSweepAppendixELarge$|BenchmarkSimulateBatch(Fault)?$|BenchmarkServiceSearch(Cold|Cached|Store)$' \
+	-bench 'BenchmarkSweepFigure7(Parallel|Pruned|PrunedSerial|PrunedFault|PrunedCostModel)$|BenchmarkSweepAppendixELarge$|BenchmarkSimulateBatch(Fault)?$|BenchmarkServiceSearch(Cold|Cached|Store)$|BenchmarkScheduleGeneration(V)?$' \
 	-benchmem -benchtime="$BENCHTIME" -count="$BENCHCOUNT" . | tee "$TMP"
 
 GOMAXPROCS_N=$(go run ./scripts/gomaxprocs 2>/dev/null || nproc 2>/dev/null || echo 1)
 
 # One fresh process per cold run, so each starts with empty memo caches.
 go build -o "$COLD/coldsweep" ./scripts/coldsweep
-for i in 1 2 3 4 5; do
-	"$COLD/coldsweep" >> "$COLD/runs"
-done
-cat "$COLD/runs"
-# Each line is {"wall_ms": W, "schedule_keys": K, "heap_inuse_mib": H, "gomaxprocs": P}.
-COLD_JSON=$(awk -F'[:,}]' '
-{
-	w = $2 + 0; k = $4 + 0; h = $6 + 0; p = $8 + 0
-	if (NR == 1 || w < wmin) wmin = w
-	if (NR == 1 || w > wmax) wmax = w
-	if (NR == 1 || h < hmin) hmin = h
-	if (NR == 1 || h > hmax) hmax = h
-	if (NR > 1 && k != keys) { print "coldsweep: schedule keys differ between runs" > "/dev/stderr"; exit 1 }
-	keys = k
+# cold_summary FAMILIES runs five cold sweeps of the family set and prints
+# their JSON summary.
+cold_summary() {
+	for i in 1 2 3 4 5; do
+		"$COLD/coldsweep" -families "$1" >> "$COLD/runs.$1"
+	done
+	cat "$COLD/runs.$1" >&2
+	# Each line is {"wall_ms": W, "schedule_keys": K, "heap_inuse_mib": H, "gomaxprocs": P}.
+	awk -F'[:,}]' '
+	{
+		w = $2 + 0; k = $4 + 0; h = $6 + 0; p = $8 + 0
+		if (NR == 1 || w < wmin) wmin = w
+		if (NR == 1 || w > wmax) wmax = w
+		if (NR == 1 || h < hmin) hmin = h
+		if (NR == 1 || h > hmax) hmax = h
+		if (NR > 1 && k != keys) { print "coldsweep: schedule keys differ between runs" > "/dev/stderr"; exit 1 }
+		keys = k
+	}
+	END {
+		printf "{\"runs\": %d, \"wall_ms_min\": %.1f, \"wall_ms_max\": %.1f, \"schedule_keys\": %d, \"heap_inuse_mib_min\": %.1f, \"heap_inuse_mib_max\": %.1f, \"gomaxprocs\": %d}", NR, wmin, wmax, keys, hmin, hmax, p
+	}' "$COLD/runs.$1"
 }
-END {
-	printf "{\"runs\": %d, \"wall_ms_min\": %.1f, \"wall_ms_max\": %.1f, \"schedule_keys\": %d, \"heap_inuse_mib_min\": %.1f, \"heap_inuse_mib_max\": %.1f, \"gomaxprocs\": %d}", NR, wmin, wmax, keys, hmin, hmax, p
-}' "$COLD/runs")
+COLD_JSON=$(cold_summary all)
+COLD_EVERY_JSON=$(cold_summary every)
 
-awk -v out="$OUT" -v maxprocs="$GOMAXPROCS_N" -v cold="$COLD_JSON" -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
+awk -v out="$OUT" -v maxprocs="$GOMAXPROCS_N" -v cold="$COLD_JSON" -v coldevery="$COLD_EVERY_JSON" -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
 /^Benchmark/ {
 	name = $1
 	sub(/-[0-9]+$/, "", name)
@@ -190,6 +202,7 @@ END {
 	}
 	printf "  },\n" > out
 	printf "  \"cold_sweep_figure7\": %s,\n", cold > out
+	printf "  \"cold_sweep_every_family\": %s,\n", coldevery > out
 	printf "  \"history\": {\n" > out
 	printf "    \"measured\": \"2026-08-08\",\n" > out
 	printf "    \"note\": \"optimized search vs the original serial evaluator (no memo caches, reference DES loop), and the DES indexed run loop vs its reference loop (des_run), deleted after this measurement; the warm-started incumbents per pruned Figure-7 sweep, whose seed pass was deleted later; gomaxprocs 1, benchtime 3x\",\n" > out
