@@ -3,7 +3,8 @@
 # module's vet and tests + an HTTP smoke test of bfpp-serve, clean and
 # with a chaos script armed (a retrying client must absorb the injected
 # transient fault and still byte-match)
-# + a bounded fuzz of the validated-plan generation property
+# + bounded fuzzes of the validated-plan generation property and of
+# Plan.Validate on decoded plans
 # + a worker-count invariance check of bfpp-search (table and pruning
 # counters) + a bfpp-calibrate smoke (deterministic fit, byte-stable
 # fitted search)
@@ -49,6 +50,10 @@ go test -shuffle=on ./...
 echo "== fuzz (bounded; every plan Plan.Validate accepts must generate and check,"
 echo "   which is what lets engine.Precheck skip generation)"
 go test -run '^$' -fuzz '^FuzzValidatedPlanGenerates$' -fuzztime 10s ./internal/schedule
+
+echo "== fuzz (bounded; Plan.Validate never panics on a decoded plan, and every plan"
+echo "   it accepts has a GPU and at most core.MaxComputeOps compute ops)"
+go test -run '^$' -fuzz '^FuzzPlanValidate$' -fuzztime 5s ./internal/core
 
 echo "== bfppbench (the repo benchmark is its own module; build, vet and test it"
 echo "   against this tree, so a refactor cannot leave it unbuildable)"

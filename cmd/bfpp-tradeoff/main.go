@@ -82,7 +82,7 @@ func main() {
 		for i, b := range fr.Bests {
 			results[i] = b.Result
 		}
-		pts, err := tradeoff.Curve(ctx, m, results, bcrit, gpus, *workers)
+		pts, err := tradeoff.Curve(ctx, m, results, bcrit, gpus)
 		fatalIf(err)
 		curves = append(curves, familyCurve{fr.Name, pts})
 		fmt.Print(tradeoff.Format(fr.Name, pts))

@@ -48,7 +48,7 @@ func main() {
 	// ...then extrapolate to large clusters with the batch-size overhead.
 	fmt.Printf("52B with breadth-first, Bcrit = %.0f sequences (Figure 8a):\n", bfpp.Bcrit52B)
 	fmt.Printf("%8s %8s %10s %12s %14s %10s\n", "GPUs", "beta", "batch", "time (days)", "cost (GPUd)", "overhead")
-	pts, err := bfpp.TradeoffCurve(context.Background(), m, measured, bfpp.Bcrit52B, []int{256, 1024, 4096, 16384}, 0)
+	pts, err := bfpp.TradeoffCurve(context.Background(), m, measured, bfpp.Bcrit52B, []int{256, 1024, 4096, 16384})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -21,7 +21,6 @@ import (
 	"bfpp/internal/core"
 	"bfpp/internal/engine"
 	"bfpp/internal/hw"
-	"bfpp/internal/memsim"
 	"bfpp/internal/model"
 	"bfpp/internal/schedule"
 )
@@ -97,23 +96,6 @@ func floorOf(p core.Plan, costs schedule.StepCosts, tr schedule.Traits) float64 
 		}
 	}
 	return f
-}
-
-// MemoryFloor is the cheap admissible lower bound on the plan's peak
-// memory estimate (memsim.Floor re-exported next to the time bound): it
-// never exceeds memsim.Estimate(m, p).Total(), so a candidate whose floor
-// breaks the budget can be discarded without the full estimate (and, for
-// the V-schedule, without generating device programs).
-func MemoryFloor(m model.Transformer, p core.Plan) float64 {
-	return memsim.Floor(m, p)
-}
-
-// MemoryFeasible reports whether the plan's memory floor fits the device
-// budget, evaluating the floor's terms cheapest-first so candidates whose
-// training state alone breaks the budget never pay the in-flight hook
-// (memsim.FeasibleFloor re-exported next to MemoryFloor).
-func MemoryFeasible(m model.Transformer, p core.Plan, memBytes int64) bool {
-	return memsim.FeasibleFloor(m, p, memBytes)
 }
 
 // genericFloor is the trait-free admissible lower bound: the maximum of

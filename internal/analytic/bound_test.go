@@ -8,7 +8,6 @@ import (
 	"bfpp/internal/core"
 	"bfpp/internal/engine"
 	"bfpp/internal/hw"
-	"bfpp/internal/memsim"
 	"bfpp/internal/model"
 	"bfpp/internal/schedule"
 )
@@ -399,33 +398,4 @@ func TestVScheduleCappedFloorAdmissibleRandom(t *testing.T) {
 		t.Fatalf("only %d randomized capped plans checked", checked)
 	}
 	t.Logf("%d randomized tightly-capped V-schedule plans checked", checked)
-}
-
-// TestMemoryFloorNeverExceedsEstimate is the memory-side admissibility
-// property: the cheap floor the enumeration pre-filter uses never exceeds
-// the full memsim estimate, so floor-filtered candidate sets are identical
-// to unfiltered ones.
-func TestMemoryFloorNeverExceedsEstimate(t *testing.T) {
-	m := boundModel()
-	rng := rand.New(rand.NewSource(7))
-	for _, g := range schedule.Generators() {
-		method := g.Method()
-		traits := g.Traits()
-		checked := 0
-		for trial := 0; trial < 400 && checked < 50; trial++ {
-			p, ok := randomBoundPlan(rng, method, traits)
-			if !ok {
-				continue
-			}
-			checked++
-			floor := MemoryFloor(m, p)
-			total := memsim.Estimate(m, p).Total()
-			if floor > total {
-				t.Errorf("%v: memory floor %v exceeds estimate %v for %v", method, floor, total, p)
-			}
-		}
-		if checked < 20 {
-			t.Errorf("%v: only %d randomized plans checked", method, checked)
-		}
-	}
 }

@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"bfpp/internal/model"
 )
@@ -110,6 +111,14 @@ func (p Plan) Bubble() float64 {
 	return float64(p.PP-1) / (float64(p.NumMicro) * float64(p.Loops))
 }
 
+// MaxComputeOps caps a valid plan's compute-op count, 2*NumStages*NumMicro
+// (a forward and a backward per stage and micro-batch), which sets the
+// size of its device programs. It is 16 times the largest count the
+// shipped grids enumerate and FuzzValidatedPlanGenerates reaches,
+// 2*256*512, so a request cannot make the schedule generator build
+// billions of ops.
+const MaxComputeOps = 1 << 22
+
 // Validate checks the plan against a model architecture.
 func (p Plan) Validate(m model.Transformer) error {
 	if err := m.Validate(); err != nil {
@@ -124,6 +133,14 @@ func (p Plan) Validate(m model.Transformer) error {
 		return fmt.Errorf("plan: NumMicro must be positive, got %d", p.NumMicro)
 	case p.Loops <= 0:
 		return fmt.Errorf("plan: Loops must be positive, got %d", p.Loops)
+	case overflows(p.DP, p.PP, p.TP):
+		return fmt.Errorf("plan: GPU count DP*PP*TP (%d*%d*%d) overflows int", p.DP, p.PP, p.TP)
+	case overflows(p.DP, p.NumMicro, p.MicroBatch):
+		return fmt.Errorf("plan: batch size DP*NumMicro*MicroBatch (%d*%d*%d) overflows int", p.DP, p.NumMicro, p.MicroBatch)
+	case overflows(p.PP, p.Loops):
+		return fmt.Errorf("plan: stage count PP*Loops (%d*%d) overflows int", p.PP, p.Loops)
+	case overflows(2, p.NumStages(), p.NumMicro) || 2*p.NumStages()*p.NumMicro > MaxComputeOps:
+		return fmt.Errorf("plan: %d stages and %d micro-batches exceed %d compute ops", p.NumStages(), p.NumMicro, MaxComputeOps)
 	}
 	info, ok := p.Method.Info()
 	if !ok {
@@ -163,6 +180,18 @@ func (p Plan) Validate(m model.Transformer) error {
 		}
 	}
 	return nil
+}
+
+// overflows reports whether the product of positive ints overflows int.
+func overflows(xs ...int) bool {
+	n := 1
+	for _, x := range xs {
+		if n > math.MaxInt/x {
+			return true
+		}
+		n *= x
+	}
+	return false
 }
 
 // SequenceLen returns the hybrid schedule's effective micro-batch sequence

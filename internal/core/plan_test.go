@@ -59,6 +59,40 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsOversizedPlans: a plan whose size products overflow
+// int, or whose programs would exceed MaxComputeOps, fails validation
+// with an error instead of panicking (PP*Loops wrapping to 0 divided the
+// layer count by zero), passing a GPU budget with a wrapped GPU count, or
+// sending the generator after 1.4e14 ops.
+func TestValidateRejectsOversizedPlans(t *testing.T) {
+	m := model.Model52B()
+	for _, c := range []struct {
+		name string
+		p    Plan
+		want string
+	}{
+		{"stage count wraps to 0", Plan{Method: BreadthFirst, DP: 1, PP: 1 << 32, TP: 1,
+			MicroBatch: 1, NumMicro: 1 << 32, Loops: 1 << 32}, "overflows"},
+		{"GPU count wraps to 0", Plan{Method: BreadthFirst, DP: 1 << 62, PP: 2, TP: 2,
+			MicroBatch: 1, NumMicro: 2, Loops: 1}, "overflows"},
+		{"2^47 compute ops", Plan{Method: NoPipelineBF, DP: 1, PP: 1, TP: 1,
+			MicroBatch: 1, NumMicro: 1 << 40, Loops: 64}, "compute ops"},
+	} {
+		if err := c.p.Validate(m); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate = %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+	// The cap itself is inclusive: 2*64*2^15 ops is exactly MaxComputeOps.
+	p := Plan{Method: NoPipelineBF, DP: 1, PP: 1, TP: 1, MicroBatch: 1, NumMicro: MaxComputeOps / 128, Loops: 64}
+	if err := p.Validate(m); err != nil {
+		t.Errorf("%v: %v", p, err)
+	}
+	p.NumMicro++
+	if err := p.Validate(m); err == nil {
+		t.Errorf("%v: accepted %d compute ops", p, 2*64*p.NumMicro)
+	}
+}
+
 // TestValidateRejectsUnknownSharding: a Sharding outside DP0, DP-PS and
 // DP-FS fails validation with an error naming the value. Plans decoded
 // from JSON cannot carry one (Sharding.UnmarshalJSON rejects unknown

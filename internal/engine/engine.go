@@ -240,7 +240,7 @@ func SimulateOpts(c hw.Cluster, m model.Transformer, p core.Plan, opt Options) (
 		PPCommTime:  sum.PP,
 		DPCommTime:  sum.DP,
 		Bubble:      p.Bubble(),
-		Memory:      memsim.CachedEstimate(m, p),
+		Memory:      memsim.Estimate(m, p),
 		Timeline:    tl,
 	}
 	res.Throughput = res.FlopPerGPU / res.BatchTime

@@ -107,7 +107,7 @@ func Figure1(ctx context.Context, cfg Config) (string, error) {
 		for i, best := range bests {
 			rs[i] = best.Result
 		}
-		pts, err := tradeoff.Curve(ctx, m, rs, batchsize.PaperBcrit52B, []int{4096}, cfg.Workers)
+		pts, err := tradeoff.Curve(ctx, m, rs, batchsize.PaperBcrit52B, []int{4096})
 		if err != nil {
 			return "", err
 		}
@@ -395,7 +395,7 @@ func Figure8(ctx context.Context, idx int, cfg Config) (string, error) {
 		for i, best := range bests {
 			rs[i] = best.Result
 		}
-		pts, err := tradeoff.Curve(ctx, sc.model, rs, sc.bcrit, tradeoff.PaperClusterSizes(), cfg.Workers)
+		pts, err := tradeoff.Curve(ctx, sc.model, rs, sc.bcrit, tradeoff.PaperClusterSizes())
 		if err != nil {
 			return "", err
 		}

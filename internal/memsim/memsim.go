@@ -7,6 +7,11 @@
 // minimum achievable on an arbitrarily large cluster where sharded data
 // parallelism dilutes the training state completely (the "Memory min"
 // column of Tables E.1-E.3).
+//
+// Fits is the one memory check: the grid search keeps a candidate when it
+// holds and the engine reports Estimate. Nothing is memoized here; the
+// one costly input, the V-schedule's exact in-flight peak, is recorded
+// with its programs in the schedule memo cache.
 package memsim
 
 import (
@@ -77,8 +82,27 @@ func (b Breakdown) String() string {
 // registered schedule traits (schedule.TraitsOf) rather than a hard-coded
 // method list, so registered extension schedules are estimated correctly.
 func Estimate(m model.Transformer, p core.Plan) Breakdown {
-	var b Breakdown
 	traits := schedule.TraitsOf(p.Method)
+	return estimate(m, p, traits, traits.InFlight(p))
+}
+
+// floor is a lower bound on Estimate(m, p).Total() that reads no
+// registered trait: the estimate under the memory traits that minimize
+// the training state (fp32 gradients outside the peak, per-stage
+// aggregation, no weight stash), with Loops in-flight pairs, a lower
+// bound on every generator's InFlight (see schedule.Traits). Each of its
+// terms is at most Estimate's and the sum runs in Total's order, so it
+// can never round above the estimate.
+func floor(m model.Transformer, p core.Plan) float64 {
+	least := schedule.Traits{GradsOutsidePeak: true, PerStageAggregation: true}
+	return estimate(m, p, least, p.Loops).Total()
+}
+
+// estimate computes the memory breakdown under the given memory traits,
+// with pairs (stage, micro-batch) activation checkpoints in flight on the
+// worst device.
+func estimate(m model.Transformer, p core.Plan, traits schedule.Traits, pairs int) Breakdown {
+	var b Breakdown
 	stackParams := float64(m.Layers) * float64(m.LayerParams())
 	pDev := stackParams / float64(p.PP*p.TP) // parameters hosted per device
 	nStages := p.NumStages()
@@ -129,9 +153,8 @@ func Estimate(m model.Transformer, p core.Plan) Breakdown {
 	// Activation checkpoints (Eq. 17): one checkpoint (the layer input,
 	// 2 bytes/element) per in-flight layer and micro-batch, with the
 	// per-schedule caps of Table 4.1 declared by the generator traits.
-	ckptPairs := traits.InFlight(p)
 	layersPerStage := m.Layers / nStages
-	b.Checkpoints = float64(ckptPairs*layersPerStage) * 2 * seq * smb * hid / tp
+	b.Checkpoints = float64(pairs*layersPerStage) * 2 * seq * smb * hid / tp
 
 	// Pipeline receive buffers: double-buffered fp16 activations plus
 	// gradients at stage boundaries.
@@ -141,18 +164,15 @@ func Estimate(m model.Transformer, p core.Plan) Breakdown {
 	return b
 }
 
-// inFlightPairs returns the worst-device number of (stage, micro-batch)
-// activations held simultaneously (Table 4.1), as declared by the
-// method's registered schedule generator (unregistered methods
-// conservatively hold everything).
-func inFlightPairs(p core.Plan) int {
-	return schedule.TraitsOf(p.Method).InFlight(p)
-}
-
-// Feasible reports whether the estimated peak fits in the given GPU memory,
-// keeping a fragmentation reserve (Appendix D.2 documents severe
+// Fits reports whether the plan's estimated peak fits in memBytes of GPU
+// memory, keeping a fragmentation reserve (Appendix D.2 documents severe
 // fragmentation effects; configurations near the limit were excluded from
-// the paper's grid search).
-func Feasible(b Breakdown, memBytes int64) bool {
-	return FeasibleBytes(b.Total(), memBytes)
+// the paper's grid search). It checks floor first, which never exceeds
+// the estimate, so a plan whose floor breaks the budget is rejected
+// without consulting the generator's in-flight hook: for the V-schedule,
+// the hook generates the plan's programs on a memo-cache miss.
+func Fits(m model.Transformer, p core.Plan, memBytes int64) bool {
+	const fragmentationReserve = 0.90
+	limit := float64(memBytes) * fragmentationReserve
+	return floor(m, p) <= limit && Estimate(m, p).Total() <= limit
 }

@@ -2,6 +2,7 @@ package memsim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"bfpp/internal/core"
@@ -162,8 +163,7 @@ func TestInFlightMatchesSchedules(t *testing.T) {
 				worst = v
 			}
 		}
-		got := inFlightPairs(p)
-		if got != worst {
+		if got := schedule.TraitsOf(p.Method).InFlight(p); got != worst {
 			t.Errorf("%v: analytic in-flight %d != schedule %d", p, got, worst)
 		}
 	}
@@ -191,16 +191,91 @@ func TestFeasible(t *testing.T) {
 	m := model.Model52B()
 	p := core.Plan{Method: core.BreadthFirst, DP: 1, PP: 8, TP: 8,
 		MicroBatch: 1, NumMicro: 8, Loops: 4}
-	b := Estimate(m, p)
-	if !Feasible(b, 32*gib) {
-		t.Errorf("52B on 32 GiB with PP=TP=8 should fit (paper ran it): %v", b)
+	if !Fits(m, p, 32*gib) {
+		t.Errorf("52B on 32 GiB with PP=TP=8 should fit (paper ran it): %v", Estimate(m, p))
 	}
 	// The whole 52B model on one GPU cannot fit.
 	p1 := core.Plan{Method: core.NoPipelineDF, DP: 2, PP: 1, TP: 1,
 		MicroBatch: 1, NumMicro: 1, Loops: 1}
-	if Feasible(Estimate(m, p1), 32*gib) {
+	if Fits(m, p1, 32*gib) {
 		t.Error("52B unsharded on a single 32 GiB GPU should not fit")
 	}
+	// The reserve keeps a tenth of the memory free: a budget of exactly
+	// the estimate fails, one a ninth above it fits.
+	total := Estimate(m, p).Total()
+	if Fits(m, p, int64(total)) {
+		t.Errorf("a budget of the bare estimate (%.2f GiB) should leave no reserve", total/gib)
+	}
+	if !Fits(m, p, int64(total/0.9)+1) {
+		t.Errorf("a budget of estimate/0.9 (%.2f GiB) should fit", total/0.9/gib)
+	}
+}
+
+// TestMemoryFloorNeverExceedsEstimate is the memory-side admissibility
+// property Fits rests on: for random valid plans of every registered model
+// and generator, the trait-free floor never exceeds Estimate's total, so
+// checking the floor first rejects only plans the estimate would reject;
+// and every generator's InFlight is at least Loops, the in-flight count
+// the floor assumes.
+func TestMemoryFloorNeverExceedsEstimate(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, name := range model.Registry.FixedNames() {
+		m, err := model.Registry.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range schedule.Generators() {
+			checked := 0
+			for trial := 0; trial < 400 && checked < 30; trial++ {
+				p := randomPlan(rng, g.Method())
+				if p.Validate(m) != nil {
+					continue
+				}
+				checked++
+				if lo, total := floor(m, p), Estimate(m, p).Total(); lo > total {
+					t.Errorf("%s: memory floor %v exceeds estimate %v for %v", name, lo, total, p)
+				}
+				if got := schedule.TraitsOf(p.Method).InFlight(p); got < p.Loops {
+					t.Errorf("%s: InFlight %d below Loops for %v", name, got, p)
+				}
+			}
+			if checked < 10 {
+				t.Errorf("%s %v: only %d randomized plans checked", name, g.Method(), checked)
+			}
+		}
+	}
+}
+
+// randomPlan draws a plan of the method that Plan.Validate often accepts:
+// sizes around the paper's grids, every sharding the generator lists, and
+// the per-method Sequence dial.
+func randomPlan(rng *rand.Rand, method core.Method) core.Plan {
+	p := core.Plan{
+		Method: method,
+		DP:     1 << rng.Intn(4), PP: 1, TP: 1 << rng.Intn(4),
+		MicroBatch: 1 + rng.Intn(4), Loops: 1,
+	}
+	if sh := schedule.TraitsOf(method).Shardings; len(sh) > 0 {
+		p.Sharding = sh[rng.Intn(len(sh))]
+	}
+	switch {
+	case !method.Pipelined():
+		p.Loops = 1 << rng.Intn(7)
+		p.NumMicro = 1 + rng.Intn(16)
+	case method.Looped():
+		p.Loops = 1 << rng.Intn(4)
+		fallthrough
+	default:
+		p.PP = 2 << rng.Intn(4)
+		p.NumMicro = p.PP * (1 + rng.Intn(4))
+	}
+	switch method {
+	case core.Hybrid:
+		p.Sequence = p.PP << rng.Intn(2)
+	case core.VSchedule:
+		p.Sequence = rng.Intn(2*p.PP + 1) // 0 = default cap
+	}
+	return p
 }
 
 func TestBreakdownString(t *testing.T) {

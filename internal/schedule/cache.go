@@ -41,13 +41,14 @@ func KeyOf(p core.Plan) Key {
 	return k
 }
 
-// cacheEntry is one memoized generation: the checked device programs, or
-// the error Generate/Check produced for this key. The first reader of a
-// key stores an empty entry, which is filled once; concurrent first
-// readers wait for that fill.
+// cacheEntry is one memoized generation: the checked device programs and
+// their worst device's MaxInFlight, or the error Generate/Check produced
+// for this key. The first reader of a key stores an empty entry, which is
+// filled once; concurrent first readers wait for that fill.
 type cacheEntry struct {
 	once    sync.Once
 	devices []Program
+	peak    int
 	err     error
 }
 
@@ -62,19 +63,20 @@ var (
 // caller's plan but shares the (immutable) device programs with every
 // other plan of the same key; callers must not mutate them.
 func Cached(p core.Plan) (*Schedule, error) {
-	devices, err := programs(p)
-	if err != nil {
-		return nil, err
+	e := cached(p)
+	if e.err != nil {
+		return nil, e.err
 	}
-	return &Schedule{Plan: p, Devices: devices}, nil
+	return &Schedule{Plan: p, Devices: e.devices}, nil
 }
 
-// programs returns the memoized checked device programs of the plan's key,
-// generating and checking them on a miss: Cached without the Schedule
-// wrapper, so the replay reads the programs without allocating. Each key
-// is generated once, and a reader that finds its entry still being filled
-// waits for it, so the miss count is the number of distinct keys read.
-func programs(p core.Plan) ([]Program, error) {
+// cached returns the filled memo entry of the plan's key, generating and
+// checking its programs on a miss: Cached without the Schedule wrapper,
+// so the replay and the V-schedule's InFlight hook read the entry without
+// allocating. Each key is generated once, and a reader that finds its
+// entry still being filled waits for it, so the miss count is the number
+// of distinct keys read.
+func cached(p core.Plan) *cacheEntry {
 	k := KeyOf(p)
 	v, hit := cache.Load(k)
 	if !hit {
@@ -101,9 +103,12 @@ func programs(p core.Plan) ([]Program, error) {
 		e.err = err
 		if err == nil {
 			e.devices = s.Devices
+			for _, prog := range s.Devices {
+				e.peak = max(e.peak, MaxInFlight(prog))
+			}
 		}
 	})
-	return e.devices, e.err
+	return e
 }
 
 // CacheStats returns the cumulative hit and miss counts of the schedule

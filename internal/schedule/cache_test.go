@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"math/rand"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -38,6 +39,42 @@ func TestCachedMatchesGenerate(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.Devices, want.Devices) {
 			t.Errorf("%v: cached programs differ from Generate", p)
+		}
+	}
+}
+
+// TestCachedPeakMatchesPrograms pins the in-flight peak a memo-cache
+// entry records when it fills: for random plans of every registered
+// generator, it equals the worst device's MaxInFlight over Generate's
+// programs.
+func TestCachedPeakMatchesPrograms(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, g := range Generators() {
+		checked := 0
+		for trial := 0; trial < 400 && checked < 30; trial++ {
+			p, ok := randomPlan(rng, g.Method())
+			if !ok {
+				continue
+			}
+			s, err := Generate(p)
+			if err != nil {
+				t.Fatalf("Generate(%v): %v", p, err)
+			}
+			worst := 0
+			for _, prog := range s.Devices {
+				worst = max(worst, MaxInFlight(prog))
+			}
+			e := cached(p)
+			if e.err != nil {
+				t.Fatalf("cached(%v): %v", p, e.err)
+			}
+			if e.peak != worst {
+				t.Errorf("%v: cached peak %d, programs' worst in-flight %d", p, e.peak, worst)
+			}
+			checked++
+		}
+		if checked < 10 {
+			t.Errorf("%v: only %d random plans checked", g.Method(), checked)
 		}
 	}
 }

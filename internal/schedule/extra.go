@@ -96,28 +96,16 @@ func (vScheduleGen) Traits() Traits {
 		Shardings: []core.Sharding{core.DP0},
 		// The greedy construction may exceed the cap slightly where the
 		// deadlock-freedom exemption fires; report the exact peak of the
-		// generated programs.
+		// generated programs, which the memo cache records when it fills
+		// the plan's key (generating the programs on a miss).
 		InFlight: func(p core.Plan) int {
-			s, err := Cached(p)
-			if err != nil {
-				return p.NumMicro * p.Loops
+			e := cached(p)
+			if e.err != nil {
+				return conservativeInFlight(p)
 			}
-			worst := 0
-			for _, prog := range s.Devices {
-				if v := MaxInFlight(prog); v > worst {
-					worst = v
-				}
-			}
-			return worst
+			return e.peak
 		},
-		// The exact in-flight hook above generates programs; the floor is
-		// the cheap admissible bound the search's memory pre-filter uses:
-		// just before the first backward of the last stage, its device has
-		// forwarded micro-batch 0 through all of its local stages and
-		// retired nothing, so the worst device holds at least Loops pairs
-		// whatever the cap.
-		InFlightFloor: func(p core.Plan) int { return p.Loops },
-		KeyExtra:      vCap,
+		KeyExtra: vCap,
 		// No tier-2 hook: the search simulates every V-schedule candidate
 		// its floor fails to prune. (The shared replay would price these
 		// checked programs too; ROADMAP item 5 tracks registering it.) The

@@ -35,7 +35,11 @@ type Traits struct {
 
 	// InFlight returns the worst-device number of (stage, micro-batch)
 	// activation pairs held simultaneously (Table 4.1), driving the
-	// activation-checkpoint memory estimate.
+	// activation-checkpoint memory estimate. It is at least Loops for
+	// every plan the generator accepts: when the plan's first backward
+	// runs, its device has forwarded that micro-batch through all Loops
+	// of its local stages and retired none, so memsim's trait-free floor
+	// counts Loops pairs and needs no cheaper hook.
 	InFlight func(core.Plan) int
 	// PerStageAggregation reports per-stage gradient aggregation (one
 	// reduction per stage per batch), which halves the half-precision
@@ -82,11 +86,6 @@ type Traits struct {
 	// have nothing to share. The field stays for the benchmark harness
 	// under bfppbench/, which reads it.
 	StepLBCached func(p core.Plan, c StepCosts, rc *ReplayCache) (lb float64, exact bool)
-	// InFlightFloor is a cheap admissible lower bound on InFlight, for
-	// generators whose exact hook is expensive (the V-schedule's InFlight
-	// generates programs); nil means InFlight itself is cheap and exact.
-	// memsim.Floor consumes it.
-	InFlightFloor func(core.Plan) int
 	// SequenceOptions lists the Plan.Sequence values the search enumerates
 	// per grid point (the hybrid sequence lengths of Section 4.2, the
 	// V-schedule in-flight caps), given the candidate plan with Sequence

@@ -524,10 +524,11 @@ func runReplay(sc *replayScratch, p core.Plan, c StepCosts, progs []Program, rec
 // Generate or Check rejects) is priced as not exact, which leaves the
 // caller's floor as the bound.
 func replayLB(p core.Plan, c StepCosts) (float64, bool) {
-	progs, err := programs(p)
-	if err != nil {
+	e := cached(p)
+	if e.err != nil {
 		return 0, false
 	}
+	progs := e.devices
 	sc := replayScratchPool.Get().(*replayScratch)
 	defer replayScratchPool.Put(sc)
 	initReplay(sc, p, progs, false)

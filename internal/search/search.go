@@ -887,9 +887,9 @@ func SweepAll(ctx context.Context, c hw.Cluster, m model.Transformer, fams []Fam
 
 // Enumerate lists the feasible plans of a family at a global batch size.
 // The pruning mirrors Appendix E: divisibility of the device grid and the
-// batch, stage divisibility, memory feasibility (a cheap analytic floor
-// first, then the full estimate), and the per-method constraints and
-// exclusions that Plan.Validate enforces through the method registry.
+// batch, stage divisibility, memory feasibility (one memsim.Fits call:
+// a trait-free floor first, then the full estimate), and the per-method
+// constraints, exclusions and size limits that Plan.Validate enforces.
 // Methods that declare SequenceOptions (the hybrid sequence lengths of
 // Section 4.2, the V-schedule in-flight caps) contribute one candidate per
 // option at every grid point.
@@ -953,18 +953,13 @@ func Enumerate(ctx context.Context, c hw.Cluster, m model.Transformer, f Family,
 								if p.Validate(m) != nil {
 									continue
 								}
-								if !analytic.MemoryFeasible(m, p, c.GPU.MemBytes) {
-									// The floor never exceeds the estimate,
-									// so this skips only plans the full
-									// check below would reject — without
-									// paying it (for the V-schedule, the
-									// exact in-flight hook generates
-									// programs); the floor itself checks
-									// its cheap trait-free terms before
-									// consulting the in-flight hook.
-									continue
-								}
-								if !memsim.Feasible(memsim.CachedEstimate(m, p), c.GPU.MemBytes) {
+								// The memory check feeds the table's
+								// Configs column. A plan past its cheap
+								// floor pays the full estimate: for the
+								// V-schedule, the exact in-flight peak
+								// its memo-cache entry records, which
+								// generates the programs on a miss.
+								if !memsim.Fits(m, p, c.GPU.MemBytes) {
 									continue
 								}
 								plans = append(plans, p)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"bfpp/internal/core"
 	"bfpp/internal/hw"
 	"bfpp/internal/model"
 	"bfpp/internal/search"
@@ -163,6 +164,29 @@ func TestHTTPErrors(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field: status %d", resp2.StatusCode)
+	}
+}
+
+// TestHTTPSimulateRejectsOversizedPlans: a /v1/simulate plan whose sizes
+// overflow int or whose programs would exceed core.MaxComputeOps is the
+// caller's error (400), reported by Plan.Validate, which the simulation
+// runs before it generates any program.
+func TestHTTPSimulateRejectsOversizedPlans(t *testing.T) {
+	srv := httptest.NewServer(Handler(New(Config{})))
+	defer srv.Close()
+	for _, c := range []struct {
+		p    core.Plan
+		want string
+	}{
+		{core.Plan{Method: core.BreadthFirst, DP: 1, PP: 1 << 32, TP: 1, MicroBatch: 1, NumMicro: 1 << 32, Loops: 1 << 32}, "overflows"},
+		{core.Plan{Method: core.BreadthFirst, DP: 1 << 62, PP: 2, TP: 2, MicroBatch: 1, NumMicro: 2, Loops: 1}, "overflows"},
+		{core.Plan{Method: core.NoPipelineBF, DP: 1, PP: 1, TP: 1, MicroBatch: 1, NumMicro: 1 << 40, Loops: 64}, "compute ops"},
+	} {
+		var errResp map[string]string
+		code := postJSON(t, srv.URL+"/v1/simulate", SimulateRequest{Model: "52B", Cluster: "paper", Plan: c.p}, &errResp)
+		if code != http.StatusBadRequest || !strings.Contains(errResp["error"], c.want) {
+			t.Errorf("%v: status %d, error %q; want 400 and an error containing %q", c.p, code, errResp["error"], c.want)
+		}
 	}
 }
 

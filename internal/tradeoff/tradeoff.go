@@ -17,7 +17,6 @@ import (
 	"bfpp/internal/core"
 	"bfpp/internal/engine"
 	"bfpp/internal/model"
-	"bfpp/internal/parallel"
 )
 
 // Point is one (cluster size, configuration) extrapolation.
@@ -62,12 +61,10 @@ func Extrapolate(m model.Transformer, r engine.Result, bcrit float64, nGPUs int)
 
 // Curve picks, for each cluster size, the measured configuration with the
 // lowest projected training time (equivalently cost, at fixed size) and
-// returns the resulting cost/time curve sorted by cluster size. Cluster
-// sizes are extrapolated concurrently on workers goroutines (0 resolves to
-// GOMAXPROCS); the per-size selection keeps the serial iteration order, so
-// the curve is deterministic at any width. Cancelling ctx aborts the
-// extrapolation between cluster sizes and returns ctx.Err().
-func Curve(ctx context.Context, m model.Transformer, results []engine.Result, bcrit float64, clusterSizes []int, workers int) ([]Point, error) {
+// returns the resulting cost/time curve sorted by cluster size. Cancelling
+// ctx aborts the extrapolation between cluster sizes and returns
+// ctx.Err().
+func Curve(ctx context.Context, m model.Transformer, results []engine.Result, bcrit float64, clusterSizes []int) ([]Point, error) {
 	if len(results) == 0 {
 		return nil, fmt.Errorf("tradeoff: no measured results")
 	}
@@ -79,7 +76,11 @@ func Curve(ctx context.Context, m model.Transformer, results []engine.Result, bc
 			return nil, fmt.Errorf("tradeoff: cluster size must be positive, got %d", n)
 		}
 	}
-	out, err := parallel.MapCtx(ctx, workers, clusterSizes, func(_ int, n int) (Point, error) {
+	out := make([]Point, 0, len(clusterSizes))
+	for _, n := range clusterSizes {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		best := Point{TimeDays: math.Inf(1)}
 		for _, r := range results {
 			p := Extrapolate(m, r, bcrit, n)
@@ -87,10 +88,7 @@ func Curve(ctx context.Context, m model.Transformer, results []engine.Result, bc
 				best = p
 			}
 		}
-		return best, nil
-	})
-	if err != nil {
-		return nil, err
+		out = append(out, best)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].GPUs < out[j].GPUs })
 	return out, nil

@@ -2,6 +2,7 @@ package tradeoff
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -80,7 +81,7 @@ func TestCurveSelectsByClusterSize(t *testing.T) {
 		MicroBatch: 2, NumMicro: 16, Loops: 8, Sharding: core.DPFS,
 		OverlapDP: true, OverlapPP: true}) // beta = 2
 	pts, err := Curve(context.Background(), m, []engine.Result{smallBeta, largeBeta},
-		batchsize.PaperBcrit52B, []int{256, 65536}, 0)
+		batchsize.PaperBcrit52B, []int{256, 65536})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestCurveSelectsByClusterSize(t *testing.T) {
 func TestCurveMonotonicity(t *testing.T) {
 	m := model.Model52B()
 	r := measured(t, bfPlan())
-	pts, err := Curve(context.Background(), m, []engine.Result{r}, batchsize.PaperBcrit52B, PaperClusterSizes(), 0)
+	pts, err := Curve(context.Background(), m, []engine.Result{r}, batchsize.PaperBcrit52B, PaperClusterSizes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,22 +117,27 @@ func TestCurveMonotonicity(t *testing.T) {
 
 func TestCurveErrors(t *testing.T) {
 	m := model.Model52B()
-	if _, err := Curve(context.Background(), m, nil, 100, []int{64}, 0); err == nil {
+	if _, err := Curve(context.Background(), m, nil, 100, []int{64}); err == nil {
 		t.Error("no results should fail")
 	}
 	r := measured(t, bfPlan())
-	if _, err := Curve(context.Background(), m, []engine.Result{r}, 0, []int{64}, 0); err == nil {
+	if _, err := Curve(context.Background(), m, []engine.Result{r}, 0, []int{64}); err == nil {
 		t.Error("zero bcrit should fail")
 	}
-	if _, err := Curve(context.Background(), m, []engine.Result{r}, 100, []int{0}, 0); err == nil {
+	if _, err := Curve(context.Background(), m, []engine.Result{r}, 100, []int{0}); err == nil {
 		t.Error("zero cluster size should fail")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Curve(ctx, m, []engine.Result{r}, 100, []int{64}); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled context: error %v, want context.Canceled", err)
 	}
 }
 
 func TestFormat(t *testing.T) {
 	m := model.Model52B()
 	r := measured(t, bfPlan())
-	pts, err := Curve(context.Background(), m, []engine.Result{r}, batchsize.PaperBcrit52B, []int{256, 1024}, 0)
+	pts, err := Curve(context.Background(), m, []engine.Result{r}, batchsize.PaperBcrit52B, []int{256, 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
